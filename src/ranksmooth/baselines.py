@@ -6,13 +6,12 @@ diagnostic: the (negative, positive) index pairs whose order a perfect
 ranking would have to fix. AP reaches 1 exactly when there are none.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import normalize_rows, similarity_backward
-from .ranking import DegenerateQueryError
+from .ranking import DegenerateQueryError, queries_with_positives
 from .smoothap import LossOutput
 
 __all__ = ["TripletConfig", "triplet_loss", "contrastive_loss", "violating_terms"]
@@ -34,22 +33,6 @@ class TripletConfig:
             raise ValueError(f"mining must be one of {MINING_MODES}, got {self.mining!r}")
 
 
-def _anchor_masks(class_ids, allow_degenerate, context):
-    same = class_ids[None, :] == class_ids[:, None]
-    np.fill_diagonal(same, False)
-    has_pos = same.any(axis=1)
-    has_neg = (~same).sum(axis=1) > 1  # beyond the self entry
-    usable = has_pos & has_neg
-    if not usable.all():
-        bad = int(np.nonzero(~usable)[0][0])
-        if not allow_degenerate:
-            raise DegenerateQueryError(int(class_ids[bad]))
-        warnings.warn(f"{context}: skipping {int((~usable).sum())} anchor(s)", stacklevel=3)
-    if not usable.any():
-        raise DegenerateQueryError(int(class_ids[0]))
-    return same, usable
-
-
 def triplet_loss(batch, cfg, rng=None, allow_degenerate=False):
     """Margin hinge loss over (anchor, positive, negative) triples.
 
@@ -63,7 +46,11 @@ def triplet_loss(batch, cfg, rng=None, allow_degenerate=False):
     unit, norms = normalize_rows(batch.vectors)
     m = len(batch)
     sims = unit @ unit.T
-    same, usable = _anchor_masks(batch.class_ids, allow_degenerate, "triplet_loss")
+    usable = queries_with_positives(batch.class_ids, allow_degenerate, "triplet_loss")
+    if (batch.class_ids == batch.class_ids[0]).all():  # no anchor has a negative
+        raise DegenerateQueryError(int(batch.class_ids[0]))
+    same = batch.class_ids[None, :] == batch.class_ids[:, None]
+    np.fill_diagonal(same, False)
     others = ~np.eye(m, dtype=bool)
     score_grad = np.zeros((m, m))
     total = 0.0
@@ -112,7 +99,7 @@ def contrastive_loss(batch, margin=0.5, allow_degenerate=False):
         raise ValueError(f"margin must be nonnegative, got {margin}")
     unit, norms = normalize_rows(batch.vectors)
     m = len(batch)
-    _anchor_masks(batch.class_ids, allow_degenerate, "contrastive_loss")
+    queries_with_positives(batch.class_ids, allow_degenerate, "contrastive_loss")
     sims = unit @ unit.T
     iu, ju = np.triu_indices(m, k=1)
     pos = batch.class_ids[iu] == batch.class_ids[ju]

@@ -7,9 +7,18 @@ leaves a record of the attempt. All CSV outputs are deterministic given
 identical flags and seed; wall-clock timings go to a separate
 timings.csv sidecar to keep that true.
 
+Each subcommand takes its options and their defaults from the library
+object it calls: gen-data from SyntheticSpec, train and ablate from
+TrainConfig, eval from TrainConfig's tau and d_out, and the diagnostics
+from the keyword parameters of grad_check, approx_error_sweep and
+operating_region_sweep. A flag is the parameter name with dashes
+(--per-class) and a config-file key is the name itself (per_class), except
+for the shorter spellings in SPELLING.
+
 Config precedence: command-line flags override `key = value` lines from
---config, which override built-in defaults. The RANK_SMOOTH_SEED
-environment variable supplies the seed when --seed is absent.
+--config, which override the library defaults; an unknown key is an
+error. The seed comes from --seed, else a `seed` line of the config file,
+else the RANK_SMOOTH_SEED environment variable, else 0.
 
 Exit codes: 0 success, 1 diagnostic failure (failed grad check), 2 usage
 or input errors.
@@ -21,38 +30,144 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, fields, is_dataclass
+from inspect import Parameter, signature
 from pathlib import Path
+from types import NoneType
+from typing import get_args
 
 import numpy as np
 
-from .data import CsvFormatError, gen_synthetic_clusters, load_features_csv, save_features_csv
+from .data import load_features_csv, save_features_csv
 from .encoder import encode, init_encoder, load_encoder, save_encoder
 from .experiments import (
     LOSS_KINDS,
     RECORD_METRIC_FIELDS,
     CsvSpec,
+    SyntheticSpec,
     TrainConfig,
     ablate,
     approx_error_sweep,
+    build_dataset,
     grad_check,
+    measure,
     operating_region_sweep,
     train,
 )
 from .plots import line_chart
-from .ranking import mean_ap, recall_at_k
-from .smoothap import SmoothApConfig, batch_ap_error, batch_operating_region, smooth_ap_loss
+from .smoothap import SmoothApConfig, smooth_ap_loss
 
 SEED_ENV_VAR = "RANK_SMOOTH_SEED"
 
 METRIC_COLUMNS = ("step",) + RECORD_METRIC_FIELDS
+
+# Library parameter name -> flag and config-file key, where the CLI keeps
+# a shorter spelling.
+SPELLING = {
+    "batch_size": "batch",
+    "num_classes": "classes",
+    "noise_sigma": "noise",
+    "grad_threshold": "threshold",
+}
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 class UsageError(ValueError):
     """Bad flags or unusable input files; exits with status 2."""
 
 
+def _key(name):
+    return SPELLING.get(name, name)
+
+
+def _spelled(params):
+    return {_key(name): value for name, value in params.items()}
+
+
+def _options(obj):
+    """{name: (default, type)} for the defaulted fields of a config
+    dataclass or the defaulted parameters of a function. The seed is left
+    out: it has a precedence of its own."""
+    if is_dataclass(obj):
+        found = [(f.name, f.default, f.type) for f in fields(obj)]
+    else:
+        found = [(p.name, p.default, type(p.default)) for p in signature(obj).parameters.values()]
+    return {
+        name: (default, next(t for t in get_args(kind) or (kind,) if t is not NoneType))
+        for name, default, kind in found
+        if name != "seed" and default is not MISSING and default is not Parameter.empty
+    }
+
+
+GEN_DATA = _options(SyntheticSpec)
+TRAIN = _options(TrainConfig)
+EVAL = {name: TRAIN[name] for name in ("tau", "d_out")}
+GRAD_CHECK = _options(grad_check)
+APPROX_ERROR = _options(approx_error_sweep)
+REGION_SWEEP = _options(operating_region_sweep)
+
+TRAIN_DEFAULTS = {_key(name): default for name, (default, _) in TRAIN.items()}
+
+
+def _parse(key, value, default, kind):
+    """A flag or config-file string as the parameter's type; non-string
+    values (library defaults, switch flags) pass through."""
+    if not isinstance(value, str):
+        return value
+    try:
+        if kind is bool:
+            return _BOOLEANS[value.lower()]
+        if kind is tuple:
+            return tuple(type(default[0])(v) for v in value.split(",") if v.strip())
+        return kind(value)
+    except (KeyError, ValueError):
+        raise UsageError(f"{key}: cannot read {value!r} as {kind.__name__}") from None
+
+
+def _read_config_file(path, keys):
+    values = {}
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise UsageError(
+                f"{path}:{lineno}: unknown key {key!r}; expected one of {', '.join(sorted(keys))}"
+            )
+        values[key] = value.strip()
+    return values
+
+
+def _resolve(args, table):
+    """Flags over config-file lines over library defaults, each parsed to
+    its parameter's type. Returns ({parameter name: value}, seed)."""
+    keys = {_key(name): name for name in table}
+    lines = _read_config_file(args.config, set(keys) | {"seed"}) if args.config else {}
+    params = {}
+    for key, name in keys.items():
+        value = getattr(args, key)
+        if value is None:
+            value = lines.get(key, table[name][0])
+        params[name] = _parse(key, value, *table[name])
+    seed = args.seed if args.seed is not None else lines.get("seed")
+    if seed is None:
+        return params, _parse(SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, 0), 0, int)
+    return params, _parse("seed", seed, 0, int)
+
+
 def _fmt(value):
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -63,6 +178,10 @@ def _write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _metric_row(record):
+    return [getattr(record, name) for name in METRIC_COLUMNS]
 
 
 def _git_describe():
@@ -107,101 +226,10 @@ class Manifest:
         self._write()
 
 
-def _read_config_file(path):
-    values = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _coerce(text, like):
-    if isinstance(like, bool):
-        lowered = text.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"cannot parse boolean from {text!r}")
-    if like is None or isinstance(like, str):
-        return text
-    if isinstance(like, int):
-        return int(text)
-    return float(text)
-
-
-def _resolve(args, defaults):
-    """flags > config file > defaults; returns a plain namespace dict."""
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_values:
-            resolved[key] = _coerce(file_values[key], default)
-        else:
-            resolved[key] = default
-    return resolved
-
-
-def _resolve_seed(args, resolved):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in resolved and resolved["seed"] is not None:
-        return resolved["seed"]
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
-    return 0
-
-
 def _out_dir(path):
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _int_list(text, flag):
-    try:
-        return [int(v) for v in str(text).split(",") if v.strip()]
-    except ValueError as exc:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from exc
-
-
-def _float_list(text, flag):
-    try:
-        return [float(v) for v in str(text).split(",") if v.strip()]
-    except ValueError as exc:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
-
-
-def _records_rows(records):
-    return [
-        [
-            r.step,
-            r.train_loss,
-            r.test_map,
-            r.recall_at_1,
-            r.recall_at_4,
-            r.recall_at_16,
-            r.ap_error,
-            r.operating_region,
-        ]
-        for r in records
-    ]
 
 
 def _write_metric_plots(out, records, outputs):
@@ -213,98 +241,28 @@ def _write_metric_plots(out, records, outputs):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed args, the resolved parameters of its
+# option table, and the seed.
 
-GEN_DEFAULTS = {
-    "classes": 50,
-    "per_class": 20,
-    "dim": 64,
-    "noise": 0.13,
-    "signal_dim": 16,
-}
-
-
-def cmd_gen_data(args):
-    resolved = _resolve(args, GEN_DEFAULTS)
-    seed = _resolve_seed(args, resolved)
-    if resolved["classes"] < 2:
-        raise UsageError("--classes must be at least 2")
-    if resolved["per_class"] < 2:
-        raise UsageError("--per-class must be at least 2")
+def cmd_gen_data(args, params, seed):
     out = Path(args.output)
-    signal_dim = resolved["signal_dim"] if resolved["signal_dim"] > 0 else None
-    manifest = Manifest(
-        str(out) + ".manifest.json", "gen-data", dict(resolved, seed=seed), seed
-    )
-    ds = gen_synthetic_clusters(
-        resolved["classes"], resolved["per_class"], resolved["dim"],
-        resolved["noise"], seed, signal_dim=signal_dim,
-    )
+    config = dict(_spelled(params), seed=seed)
+    manifest = Manifest(str(out) + ".manifest.json", "gen-data", config, seed)
+    # signal_dim 0 asks for fully isotropic means (None in the library).
+    ds = build_dataset(SyntheticSpec(**dict(params, signal_dim=params["signal_dim"] or None)), seed)
     save_features_csv(out, ds)
     manifest.finish([out])
     print(f"wrote {len(ds)} rows to {out}")
     return 0
 
 
-TRAIN_DEFAULTS = {
-    "loss": "smooth-ap",
-    "tau": 0.01,
-    "batch": 64,
-    "per_class": 4,
-    "steps": 2000,
-    "eval_every": 200,
-    "lr": 1e-4,
-    "weight_decay": 4e-5,
-    "test_fraction": 0.5,
-    "d_out": 16,
-    "hidden_dim": 0,
-    "bias": False,
-}
-
-
-def _train_config(resolved, seed, data_path):
-    if resolved["loss"] not in LOSS_KINDS:
-        raise UsageError(f"--loss must be one of {', '.join(LOSS_KINDS)}")
-    if resolved["tau"] is not None and resolved["tau"] <= 0:
-        raise UsageError("--tau must be positive")
-    if not Path(data_path).exists():
-        raise UsageError(f"dataset not found: {data_path}")
-    try:
-        return TrainConfig(
-            loss=resolved["loss"],
-            tau=resolved["tau"],
-            batch_size=resolved["batch"],
-            per_class=resolved["per_class"],
-            steps=resolved["steps"],
-            eval_every=resolved["eval_every"],
-            lr=resolved["lr"],
-            weight_decay=resolved["weight_decay"],
-            seed=seed,
-            data=CsvSpec(path=str(data_path)),
-            test_fraction=resolved["test_fraction"],
-            d_out=resolved["d_out"],
-            hidden_dim=resolved["hidden_dim"] or None,
-            bias=resolved["bias"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _config_dict(cfg):
-    body = asdict(cfg)
-    body["data"] = asdict(cfg.data)
-    return body
-
-
-def cmd_train(args):
-    resolved = _resolve(args, TRAIN_DEFAULTS)
-    seed = _resolve_seed(args, resolved)
-    cfg = _train_config(resolved, seed, args.data)
+def cmd_train(args, params, seed):
+    cfg = TrainConfig(**params, seed=seed, data=CsvSpec(path=str(args.data)))
     out = _out_dir(args.output)
-    manifest = Manifest(out / "manifest.json", "train", _config_dict(cfg), seed)
+    manifest = Manifest(out / "manifest.json", "train", asdict(cfg), seed)
     result = train(cfg)
     outputs = [out / "metrics.csv", out / "timings.csv", out / "encoder.bin"]
-    _write_csv(out / "metrics.csv", METRIC_COLUMNS, _records_rows(result.records))
+    _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(r) for r in result.records])
     _write_csv(
         out / "timings.csv",
         ("step", "wall_ms"),
@@ -319,75 +277,44 @@ def cmd_train(args):
     return 0
 
 
-EVAL_DEFAULTS = {"tau": 0.01, "d_out": 16}
-
-
-def cmd_eval(args):
-    resolved = _resolve(args, EVAL_DEFAULTS)
-    seed = _resolve_seed(args, resolved)
-    if not Path(args.data).exists():
-        raise UsageError(f"dataset not found: {args.data}")
-    if args.checkpoint and not Path(args.checkpoint).exists():
-        raise UsageError(f"checkpoint not found: {args.checkpoint}")
+def cmd_eval(args, params, seed):
     out = _out_dir(args.output)
     config = {
         "data": str(args.data),
         "checkpoint": str(args.checkpoint) if args.checkpoint else None,
-        "tau": resolved["tau"],
-        "d_out": resolved["d_out"],
+        **params,
         "seed": seed,
     }
     manifest = Manifest(out / "manifest.json", "eval", config, seed)
     ds = load_features_csv(args.data)
     if args.checkpoint:
-        params = load_encoder(args.checkpoint)
+        encoder = load_encoder(args.checkpoint)
     else:
-        params = init_encoder(ds.dim, resolved["d_out"], seed=seed)
-    batch = encode(ds.features, ds.class_ids, params)
-    diag = SmoothApConfig(resolved["tau"])
-    loss_value = smooth_ap_loss(batch, diag).loss
-    recalls = recall_at_k(batch, (1, 4, 16))
-    row = [
-        0,
-        loss_value,
-        mean_ap(batch),
-        recalls[1],
-        recalls[4],
-        recalls[16],
-        batch_ap_error(batch, diag),
-        batch_operating_region(batch, diag),
-    ]
-    _write_csv(out / "metrics.csv", METRIC_COLUMNS, [row])
+        encoder = init_encoder(ds.dim, params["d_out"], seed=seed)
+    batch = encode(ds.features, ds.class_ids, encoder)
+    diag = SmoothApConfig(params["tau"])
+    loss = smooth_ap_loss(batch, diag).loss
+    record = measure(0, loss, batch, encoder, ds, diag, time.perf_counter())
+    _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(record)])
     manifest.finish([out / "metrics.csv"])
-    print(f"mAP {row[2]:.4f}, recall@1 {row[3]:.4f} over {len(ds)} instances")
+    print(f"mAP {record.test_map:.4f}, recall@1 {record.recall_at_1:.4f} over {len(ds)} instances")
     return 0
 
 
-ABLATE_PARAMS = {"tau": float, "per_class": int, "batch_size": int, "lr": float}
-
-
-def cmd_ablate(args):
-    resolved = _resolve(args, TRAIN_DEFAULTS)
-    seed = _resolve_seed(args, resolved)
-    if args.param not in ABLATE_PARAMS:
-        raise UsageError(f"--param must be one of {', '.join(ABLATE_PARAMS)}")
-    kind = ABLATE_PARAMS[args.param]
-    values = (
-        _int_list(args.values, "--values") if kind is int else _float_list(args.values, "--values")
-    )
-    if not values:
-        raise UsageError("--values must list at least one value")
-    cfg = _train_config(resolved, seed, args.data)
+def cmd_ablate(args, params, seed):
+    name = {key: name for name, key in SPELLING.items()}.get(args.param, args.param)
+    if name not in TRAIN:
+        raise UsageError(f"--param must be one of {', '.join(map(_key, TRAIN))}")
+    values = [_parse("--values", v, *TRAIN[name]) for v in args.values.split(",") if v.strip()]
+    cfg = TrainConfig(**params, seed=seed, data=CsvSpec(path=str(args.data)))
     out = _out_dir(args.output)
     manifest = Manifest(
         out / "manifest.json",
         "ablate",
-        {"base": _config_dict(cfg), "param": args.param, "values": values},
+        {"base": asdict(cfg), "param": args.param, "values": values},
         seed,
     )
-    rows = []
-    for value, final, _ in ablate(cfg, args.param, values):
-        rows.append([value] + _records_rows([final])[0])
+    rows = [[value] + _metric_row(final) for value, final, _ in ablate(cfg, name, values)]
     _write_csv(out / "summary.csv", (args.param,) + METRIC_COLUMNS, rows)
     manifest.finish([out / "summary.csv"])
     for row in rows:
@@ -395,32 +322,8 @@ def cmd_ablate(args):
     return 0
 
 
-GRAD_CHECK_DEFAULTS = {
-    "loss": "smooth-ap",
-    "tau": 1.0,
-    "m": 16,
-    "d": 8,
-    "fd_step": 1e-6,
-    "tolerance": 1e-5,
-}
-
-
-def cmd_grad_check(args):
-    resolved = _resolve(args, GRAD_CHECK_DEFAULTS)
-    seed = _resolve_seed(args, resolved)
-    if resolved["loss"] not in LOSS_KINDS:
-        raise UsageError(f"--loss must be one of {', '.join(LOSS_KINDS)}")
-    if resolved["tau"] <= 0:
-        raise UsageError("--tau must be positive")
-    report = grad_check(
-        loss=resolved["loss"],
-        m=resolved["m"],
-        d=resolved["d"],
-        tau=resolved["tau"],
-        fd_step=resolved["fd_step"],
-        tolerance=resolved["tolerance"],
-        seed=seed,
-    )
+def cmd_grad_check(args, params, seed):
+    report = grad_check(**params, seed=seed)
     print(
         f"{report.loss}: max rel error embedding {report.max_rel_error_embedding:.3e}, "
         f"params {report.max_rel_error_params:.3e}, tolerance {report.tolerance:.1e} "
@@ -439,33 +342,12 @@ def cmd_grad_check(args):
     return 0 if report.passed else 1
 
 
-APPROX_DEFAULTS = {
-    "taus": "0.1,0.01,0.001",
-    "steps": 20,
-    "batch": 64,
-    "per_class": 4,
-    "lr": 1e-4,
-    "d_out": 16,
-}
-
-
-def cmd_approx_error(args):
-    resolved = _resolve(args, APPROX_DEFAULTS)
-    seed = _resolve_seed(args, resolved)
-    if not Path(args.data).exists():
-        raise UsageError(f"dataset not found: {args.data}")
-    taus = _float_list(resolved["taus"], "--taus")
-    if not taus or any(t <= 0 for t in taus):
-        raise UsageError("--taus must list positive temperatures")
+def cmd_approx_error(args, params, seed):
     out = _out_dir(args.output)
-    config = dict(resolved, taus=taus, data=str(args.data), seed=seed)
+    config = dict(_spelled(params), data=str(args.data), seed=seed)
     manifest = Manifest(out / "manifest.json", "approx-error", config, seed)
-    ds = load_features_csv(args.data)
-    sweep = approx_error_sweep(
-        ds, taus, resolved["steps"], batch_size=resolved["batch"],
-        per_class=resolved["per_class"], d_out=resolved["d_out"],
-        lr=resolved["lr"], seed=seed,
-    )
+    sweep = approx_error_sweep(load_features_csv(args.data), **params, seed=seed)
+    taus = params["taus"]
     rows = [[tau, step, err] for tau in taus for step, err in enumerate(sweep[tau])]
     _write_csv(out / "approx_error.csv", ("tau", "step", "ap_error"), rows)
     outputs = [out / "approx_error.csv"]
@@ -473,7 +355,7 @@ def cmd_approx_error(args):
         path = out / "plot_approx_error.svg"
         line_chart(
             path,
-            list(range(resolved["steps"])),
+            list(range(params["steps"])),
             {f"tau={tau:g}": sweep[tau] for tau in taus},
             "AP approximation error per training batch",
             "step",
@@ -486,35 +368,12 @@ def cmd_approx_error(args):
     return 0
 
 
-REGION_DEFAULTS = {
-    "batch_sizes": "32,64,128,256",
-    "tau": 0.01,
-    "threshold": 0.005,
-    "lr": 0.6,
-    "repeats": 16,
-    "d_out": 16,
-}
-
-
-def cmd_region_sweep(args):
-    resolved = _resolve(args, REGION_DEFAULTS)
-    seed = _resolve_seed(args, resolved)
-    if not Path(args.data).exists():
-        raise UsageError(f"dataset not found: {args.data}")
-    sizes = _int_list(resolved["batch_sizes"], "--batch-sizes")
-    if not sizes or any(b < 1 for b in sizes):
-        raise UsageError("--batch-sizes must list positive integers")
-    if resolved["tau"] <= 0 or resolved["threshold"] <= 0:
-        raise UsageError("--tau and --threshold must be positive")
+def cmd_region_sweep(args, params, seed):
     out = _out_dir(args.output)
-    config = dict(resolved, batch_sizes=sizes, data=str(args.data), seed=seed)
+    config = dict(_spelled(params), data=str(args.data), seed=seed)
     manifest = Manifest(out / "manifest.json", "region-sweep", config, seed)
-    ds = load_features_csv(args.data)
-    sweep = operating_region_sweep(
-        ds, sizes, tau=resolved["tau"], grad_threshold=resolved["threshold"],
-        d_out=resolved["d_out"], lr=resolved["lr"], seed=seed,
-        repeats=resolved["repeats"],
-    )
+    sweep = operating_region_sweep(load_features_csv(args.data), **params, seed=seed)
+    sizes = params["batch_sizes"]
     rows = [[b, sweep[b]] for b in sizes]
     _write_csv(out / "region_sweep.csv", ("batch_size", "mean_operating_region"), rows)
     outputs = [out / "region_sweep.csv"]
@@ -532,28 +391,15 @@ def cmd_region_sweep(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(parser, with_out=True):
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"random seed (falls back to ${SEED_ENV_VAR}, then 0)")
-    parser.add_argument("--config", default=None, help="key=value config file")
-    if with_out:
-        parser.add_argument("-o", "--out", dest="output", required=True, help="output directory")
-
-
-def _add_train_flags(parser):
-    parser.add_argument("--data", required=True, help="feature CSV path")
-    parser.add_argument("--loss", default=None, choices=LOSS_KINDS)
-    parser.add_argument("--tau", type=float, default=None)
-    parser.add_argument("--batch", type=int, default=None)
-    parser.add_argument("--per-class", dest="per_class", type=int, default=None)
-    parser.add_argument("--steps", type=int, default=None)
-    parser.add_argument("--eval-every", dest="eval_every", type=int, default=None)
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    parser.add_argument("--test-fraction", dest="test_fraction", type=float, default=None)
-    parser.add_argument("--d-out", dest="d_out", type=int, default=None)
-    parser.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
-    parser.add_argument("--bias", action="store_const", const=True, default=None)
+COMMANDS = {
+    "gen-data": (cmd_gen_data, GEN_DATA, "generate a synthetic feature CSV"),
+    "train": (cmd_train, TRAIN, "train an encoder and log metrics"),
+    "eval": (cmd_eval, EVAL, "evaluate a dataset with a checkpoint or fresh encoder"),
+    "ablate": (cmd_ablate, TRAIN, "vary one training parameter over a grid"),
+    "grad-check": (cmd_grad_check, GRAD_CHECK, "compare analytic gradients to finite differences"),
+    "approx-error": (cmd_approx_error, APPROX_ERROR, "AP approximation error per temperature"),
+    "region-sweep": (cmd_region_sweep, REGION_SWEEP, "operating-region fraction vs batch size"),
+}
 
 
 def build_parser():
@@ -562,88 +408,42 @@ def build_parser():
         description="Retrieval training and evaluation with exact and smoothed average precision.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic feature CSV")
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--per-class", dest="per_class", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--signal-dim", dest="signal_dim", type=int, default=None,
-                   help="shared signal subspace dimension; 0 for fully isotropic means")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("-o", "--out", dest="output", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train an encoder and log metrics")
-    _add_train_flags(p)
-    p.add_argument("--plot", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a dataset with a checkpoint or fresh encoder")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--d-out", dest="d_out", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", help="vary one training parameter over a grid")
-    _add_train_flags(p)
-    p.add_argument("--param", required=True)
-    p.add_argument("--values", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("grad-check", help="compare analytic gradients to finite differences")
-    p.add_argument("--loss", default=None, choices=LOSS_KINDS)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("-o", "--out", dest="output", default=None, help="optional report directory")
-    p.set_defaults(func=cmd_grad_check)
-
-    p = sub.add_parser("approx-error", help="AP approximation error per temperature")
-    p.add_argument("--data", required=True)
-    p.add_argument("--taus", default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--per-class", dest="per_class", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--d-out", dest="d_out", type=int, default=None)
-    p.add_argument("--plot", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_approx_error)
-
-    p = sub.add_parser("region-sweep", help="operating-region fraction vs batch size")
-    p.add_argument("--data", required=True)
-    p.add_argument("--batch-sizes", dest="batch_sizes", default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--d-out", dest="d_out", type=int, default=None)
-    p.add_argument("--plot", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_region_sweep)
-
+    for command, (func, table, text) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(func=func, table=table)
+        if command not in ("gen-data", "grad-check"):
+            p.add_argument("--data", required=True, help="feature CSV path")
+        for name, (default, kind) in table.items():
+            key = _key(name)
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True,
+                               help=f"default: {default}")
+            else:
+                p.add_argument(flag, dest=key, choices=LOSS_KINDS if name == "loss" else None,
+                               help=f"default: {default}")
+        p.add_argument("--seed", help=f"random seed (falls back to ${SEED_ENV_VAR}, then 0)")
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("-o", "--out", dest="output", required=command != "grad-check",
+                       help="output path")
+        if command in ("train", "approx-error", "region-sweep"):
+            p.add_argument("--plot", action="store_true", help="also write SVG charts")
+    sub.choices["eval"].add_argument("--checkpoint", help="encoder.bin; default a fresh encoder")
+    sub.choices["ablate"].add_argument("--param", required=True, help="TrainConfig field to vary")
+    sub.choices["ablate"].add_argument("--values", required=True, help="comma-separated grid")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CsvFormatError, ValueError, OSError) as exc:
+        params, seed = _resolve(args, args.table)
+        for what in ("data", "checkpoint"):
+            path = getattr(args, what, None)
+            if path and not Path(path).exists():
+                raise UsageError(f"{what} not found: {path}")
+        return args.func(args, params, seed)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -177,9 +177,9 @@ def save_features_csv(path, dataset):
 def load_features_csv(path, min_per_class=2):
     """Parse a feature CSV into a Dataset.
 
-    Ragged rows, unparsable fields, and duplicate ids each raise a
-    distinct error carrying the 1-based line number. Classes with fewer
-    than min_per_class instances are dropped after parsing.
+    Ragged rows, unparsable or non-finite fields, and duplicate ids each
+    raise a distinct error carrying the 1-based line number. Classes with
+    fewer than min_per_class instances are dropped after parsing.
     """
     rows = []
     ids = {}
@@ -213,6 +213,8 @@ def load_features_csv(path, min_per_class=2):
                 rows.append([float(v) for v in parts[2:]])
             except ValueError:
                 raise FieldFormatError("feature fields must be numeric", lineno) from None
+            if not np.isfinite(rows[-1]).all():
+                raise FieldFormatError("feature fields must be finite", lineno)
     if not rows:
         raise CsvFormatError("file contains no data rows", 1)
     features = np.asarray(rows, dtype=np.float64)

@@ -10,6 +10,8 @@ quantity.
 import time
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -48,6 +50,7 @@ __all__ = [
     "TrainResult",
     "GradCheckReport",
     "LOSS_KINDS",
+    "measure",
     "train",
     "ablate",
     "grad_check",
@@ -118,11 +121,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if self.loss == "smooth-ap" and (self.tau is None or not self.tau > 0):
+        if self.tau is None and self.loss == "smooth-ap":
             raise ValueError("smooth-ap requires a positive tau")
+        if self.tau is not None and not self.tau > 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
         for name in ("batch_size", "per_class", "eval_every", "d_out"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be positive or None, got {self.hidden_dim}")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         if self.lr <= 0 or self.weight_decay < 0:
@@ -204,9 +211,11 @@ def evaluate_encoder(params, dataset, ks=(1, 4, 16)):
     return float(mean_ap(batch)), {k: float(v) for k, v in recalls.items()}
 
 
-def _record(step, loss_value, batch, params, test_ds, cfg, started):
+def measure(step, loss_value, batch, params, test_ds, diag, started):
+    """One log record: the loss on a training batch, test-split retrieval
+    quality of params, and the diag (SmoothApConfig) AP-error and
+    operating-region diagnostics of the batch."""
     test_map, recalls = evaluate_encoder(params, test_ds)
-    diag = cfg.diagnostics_config
     return ExperimentRecord(
         step=step,
         train_loss=float(loss_value),
@@ -220,11 +229,39 @@ def _record(step, loss_value, batch, params, test_ds, cfg, started):
     )
 
 
+def _sampled(dataset, batch_size, per_class, seed):
+    """Endless class-balanced row-index batches from one sampler stream."""
+    sampler_cfg = SamplerConfig(batch_size, per_class, seed)
+    state = SamplerState(seed=seed)
+    while True:
+        idx, state = next_batch(dataset, sampler_cfg, state)
+        yield idx
+
+
+def _train_steps(dataset, batches, params, opt, loss_fn):
+    """The training step: encode -> loss -> backward -> Adam.
+
+    For each row-index array in batches, yields (batch, loss output,
+    params) before the update, so the caller measures the parameters that
+    produced the loss; the update runs when the caller asks for the next
+    step. A loss_fn returning None skips the update.
+    """
+    for idx in batches:
+        batch = encode(dataset.features[idx], dataset.class_ids[idx], params)
+        out = loss_fn(batch)
+        yield batch, out, params
+        if out is not None:
+            grads = encode_backward(dataset.features[idx], params, out.embedding_grad)
+            params, opt = adam_step(params, grads, opt)
+
+
 def train(cfg):
     """Run the sample -> encode -> loss -> update loop.
 
     Emits a record at step 0, every eval_every steps, and at the final
-    step. The test split is class-disjoint from the training split.
+    step, whose record is taken on one more sampled probe batch with the
+    trained parameters. The test split is class-disjoint from the
+    training split.
     """
     dataset = build_dataset(cfg.data, cfg.seed)
     train_ds, test_ds = split_by_class(dataset, cfg.test_fraction, cfg.seed)
@@ -232,23 +269,17 @@ def train(cfg):
         train_ds.dim, cfg.d_out, seed=cfg.seed, bias=cfg.bias, hidden_dim=cfg.hidden_dim
     )
     opt = AdamState.initial(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    sampler_cfg = SamplerConfig(cfg.batch_size, cfg.per_class, cfg.seed)
-    state = SamplerState(seed=cfg.seed)
+    batches = _sampled(train_ds, cfg.batch_size, cfg.per_class, cfg.seed)
     started = time.perf_counter()
     records = []
-    for step in range(cfg.steps):
-        idx, state = next_batch(train_ds, sampler_cfg, state)
-        batch = encode(train_ds.features[idx], train_ds.class_ids[idx], params)
-        out = _loss_for(cfg, batch)
-        if step % cfg.eval_every == 0:
-            records.append(_record(step, out.loss, batch, params, test_ds, cfg, started))
-        grads = encode_backward(train_ds.features[idx], params, out.embedding_grad)
-        params, opt = adam_step(params, grads, opt)
-    # Final record on a fresh probe batch with the trained parameters.
-    idx, state = next_batch(train_ds, sampler_cfg, state)
-    batch = encode(train_ds.features[idx], train_ds.class_ids[idx], params)
-    out = _loss_for(cfg, batch)
-    records.append(_record(cfg.steps, out.loss, batch, params, test_ds, cfg, started))
+    steps = _train_steps(train_ds, batches, params, opt, partial(_loss_for, cfg))
+    for step, (batch, out, params) in enumerate(steps):
+        if step % cfg.eval_every == 0 or step == cfg.steps:
+            records.append(
+                measure(step, out.loss, batch, params, test_ds, cfg.diagnostics_config, started)
+            )
+        if step == cfg.steps:
+            break
     return TrainResult(config=cfg, records=tuple(records), params=params)
 
 
@@ -262,6 +293,8 @@ def ablate(base_cfg, param, values):
     """
     if param not in _ABLATION_FIELDS:
         raise ValueError(f"unknown ablation parameter {param!r}")
+    if not values:
+        raise ValueError("values must list at least one value")
     rows = []
     for value in values:
         result = train(replace(base_cfg, **{param: value}))
@@ -350,34 +383,30 @@ def grad_check(
     )
 
 
-def approx_error_sweep(dataset, taus, steps, *, batch_size=64, per_class=4, d_out=16,
-                       lr=1e-5, weight_decay=4e-5, seed=0):
+def approx_error_sweep(dataset, taus=(0.1, 0.01, 0.001), steps=20, *, batch_size=64,
+                       per_class=4, d_out=16, lr=1e-5, weight_decay=4e-5, seed=0):
     """Per-temperature AP approximation error along a training trajectory.
 
     For each temperature, a fresh encoder trains with the smoothed-AP loss
     at that temperature and the per-batch error is logged before every
     update. Returns {tau: [error per step]}.
     """
+    if not taus:
+        raise ValueError("taus must list at least one temperature")
     out = {}
-    sampler_cfg = SamplerConfig(batch_size, per_class, seed)
-    for tau in taus:
-        cfg = SmoothApConfig(tau)
+    for cfg in [SmoothApConfig(tau) for tau in taus]:
         params = init_encoder(dataset.dim, d_out, seed=seed)
         opt = AdamState.initial(params, lr=lr, weight_decay=weight_decay)
-        state = SamplerState(seed=seed)
-        errors = []
-        for _ in range(steps):
-            idx, state = next_batch(dataset, sampler_cfg, state)
-            batch = encode(dataset.features[idx], dataset.class_ids[idx], params)
-            errors.append(batch_ap_error(batch, cfg))
-            loss_out = smooth_ap_loss(batch, cfg)
-            grads = encode_backward(dataset.features[idx], params, loss_out.embedding_grad)
-            params, opt = adam_step(params, grads, opt)
-        out[tau] = errors
+        batches = islice(_sampled(dataset, batch_size, per_class, seed), steps)
+        loss_fn = partial(smooth_ap_loss, cfg=cfg)
+        out[cfg.tau] = [
+            batch_ap_error(batch, cfg)
+            for batch, _, _ in _train_steps(dataset, batches, params, opt, loss_fn)
+        ]
     return out
 
 
-def operating_region_sweep(dataset, batch_sizes, *, tau=DEFAULT_TAU,
+def operating_region_sweep(dataset, batch_sizes=(32, 64, 128, 256), *, tau=DEFAULT_TAU,
                            grad_threshold=DEFAULT_GRAD_THRESHOLD, d_out=16,
                            lr=0.6, weight_decay=4e-5, seed=0, repeats=16):
     """Mean operating-region fraction per batch size across one epoch of
@@ -398,6 +427,8 @@ def operating_region_sweep(dataset, batch_sizes, *, tau=DEFAULT_TAU,
     trend washes out.
     """
     cfg = SmoothApConfig(tau, grad_threshold)
+    if not batch_sizes:
+        raise ValueError("batch_sizes must list at least one batch size")
     for b in batch_sizes:
         if b < 1 or b > len(dataset):
             raise ValueError(f"batch size {b} out of range for dataset of {len(dataset)}")
@@ -405,24 +436,26 @@ def operating_region_sweep(dataset, batch_sizes, *, tau=DEFAULT_TAU,
         np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, rep]).permutation(len(dataset))
         for rep in range(repeats)
     ]
+
+    def loss_fn(batch):
+        _, counts = np.unique(batch.class_ids, return_counts=True)
+        if not (counts >= 2).any():
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return smooth_ap_loss(batch, cfg, allow_degenerate=True)
+
     out = {}
     for b in batch_sizes:
         fractions = []
         for rep in range(repeats):
-            order = orders[rep]
             params = init_encoder(dataset.dim, d_out, seed=seed + rep)
             opt = AdamState.initial(params, lr=lr, weight_decay=weight_decay)
-            for i in range(max(1, len(dataset) // b)):
-                idx = order[i * b : (i + 1) * b]
-                batch = encode(dataset.features[idx], dataset.class_ids[idx], params)
-                fractions.append(batch_operating_region(batch, cfg))
-                _, counts = np.unique(batch.class_ids, return_counts=True)
-                if (counts >= 2).any():
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        loss_out = smooth_ap_loss(batch, cfg, allow_degenerate=True)
-                    grads = encode_backward(dataset.features[idx], params, loss_out.embedding_grad)
-                    params, opt = adam_step(params, grads, opt)
+            batches = (orders[rep][i * b : (i + 1) * b] for i in range(max(1, len(dataset) // b)))
+            fractions.extend(
+                batch_operating_region(batch, cfg)
+                for batch, _, _ in _train_steps(dataset, batches, params, opt, loss_fn)
+            )
         out[b] = float(np.mean(fractions))
     return out
 

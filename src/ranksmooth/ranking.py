@@ -26,6 +26,7 @@ __all__ = [
     "exact_ap",
     "mean_ap",
     "recall_at_k",
+    "queries_with_positives",
 ]
 
 _UNIT_NORM_TOL = 1e-9
@@ -127,9 +128,9 @@ class EmbeddingBatch:
         if class_ids.ndim != 1 or class_ids.shape[0] != vectors.shape[0]:
             raise ValueError("class_ids must have one entry per embedding row")
         norms = np.linalg.norm(vectors, axis=1)
-        off = np.abs(norms - 1.0)
-        if off.size and off.max() > _UNIT_NORM_TOL:
-            row = int(np.argmax(off))
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))  # NaN norms too
+        if bad.size:
+            row = int(bad[0])
             raise ValueError(f"row {row} has norm {norms[row]:.12f}, expected 1 within {_UNIT_NORM_TOL}")
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "class_ids", class_ids)
@@ -208,18 +209,28 @@ def exact_ap(scored):
     return float(np.mean(rank_pos[labels] / rank_all[labels]))
 
 
-def _check_class_counts(batch, allow_degenerate, context):
-    ids, counts = np.unique(batch.class_ids, return_counts=True)
-    singles = ids[counts < 2]
-    if singles.size == 0:
-        return None
-    if not allow_degenerate:
-        raise DegenerateQueryError(int(singles[0]))
-    warnings.warn(
-        f"{context}: skipping {singles.size} singleton class(es), e.g. class {int(singles[0])}",
-        stacklevel=3,
-    )
-    return set(int(c) for c in singles)
+def queries_with_positives(class_ids, allow_degenerate, context):
+    """Mask of the batch rows whose class has another row in the batch.
+
+    The other rows are a query's positives; a row without any has no
+    positive set. Such rows raise DegenerateQueryError naming the class of
+    the first of them, or with allow_degenerate are left out of the mask
+    with a warning. A batch where no row has a positive always raises.
+    """
+    _, inverse, counts = np.unique(class_ids, return_inverse=True, return_counts=True)
+    valid = counts[inverse] >= 2
+    if not valid.all():
+        first = int(class_ids[np.argmin(valid)])
+        if not allow_degenerate:
+            raise DegenerateQueryError(first)
+        warnings.warn(
+            f"{context}: skipping {int((~valid).sum())} query(ies) with no in-batch "
+            f"positive, e.g. class {first}",
+            stacklevel=3,
+        )
+    if not valid.any():
+        raise DegenerateQueryError(int(class_ids[0]) if class_ids.size else -1)
+    return valid
 
 
 def mean_ap(batch, allow_degenerate=False):
@@ -229,18 +240,14 @@ def mean_ap(batch, allow_degenerate=False):
     instance are an error unless allow_degenerate is set, in which case
     their queries are skipped with a warning.
     """
-    skip = _check_class_counts(batch, allow_degenerate, "mean_ap")
+    valid = queries_with_positives(batch.class_ids, allow_degenerate, "mean_ap")
     m = len(batch)
     sims = batch.vectors @ batch.vectors.T
     ap_values = []
-    for k in range(m):
-        if skip is not None and int(batch.class_ids[k]) in skip:
-            continue
+    for k in np.flatnonzero(valid):
         keep = np.arange(m) != k
         scored = ScoredSet(sims[k, keep], batch.class_ids[keep] == batch.class_ids[k])
         ap_values.append(exact_ap(scored))
-    if not ap_values:
-        raise DegenerateQueryError(int(batch.class_ids[0]) if m else -1)
     return float(np.mean(ap_values))
 
 
@@ -255,14 +262,11 @@ def recall_at_k(batch, ks, allow_degenerate=False):
     for k in ks:
         if k < 1 or k >= m:
             raise ValueError(f"k={k} must satisfy 1 <= k < batch size {m}")
-    skip = _check_class_counts(batch, allow_degenerate, "recall_at_k")
+    valid = queries_with_positives(batch.class_ids, allow_degenerate, "recall_at_k")
     sims = batch.vectors @ batch.vectors.T
     hits = {k: 0 for k in ks}
-    queries = 0
-    for q in range(m):
-        if skip is not None and int(batch.class_ids[q]) in skip:
-            continue
-        queries += 1
+    queries = int(valid.sum())
+    for q in np.flatnonzero(valid):
         keep = np.nonzero(np.arange(m) != q)[0]
         scores = sims[q, keep]
         order = keep[np.lexsort((keep, -scores))]
@@ -270,6 +274,4 @@ def recall_at_k(batch, ks, allow_degenerate=False):
         for k in ks:
             if positive[:k].any():
                 hits[k] += 1
-    if queries == 0:
-        raise DegenerateQueryError(int(batch.class_ids[0]) if m else -1)
     return {k: hits[k] / queries for k in ks}

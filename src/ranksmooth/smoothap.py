@@ -14,8 +14,6 @@ sums: counting the sigmoid of a zero difference would bias every smoothed
 rank by 0.5.
 """
 
-import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +21,10 @@ import numpy as np
 from .linalg import normalize_rows, similarity_backward
 from .ranking import (
     DegenerateLabelsError,
-    DegenerateQueryError,
     DifferenceMatrix,
     ScoredSet,
     exact_ap,
+    queries_with_positives,
 )
 
 __all__ = [
@@ -45,32 +43,6 @@ __all__ = [
 
 DEFAULT_TAU = 0.01
 DEFAULT_GRAD_THRESHOLD = 0.005
-
-# Per-thread scratch buffers for the loss; reused across calls (every
-# element is overwritten before it is read) so repeated small-batch calls
-# do not pay allocator traffic each time. Thread-local keeps the loss
-# reentrant across threads.
-_workspace = threading.local()
-
-
-def _loss_buffers(rows, cols):
-    cache = getattr(_workspace, "buffers", None)
-    if cache is None:
-        cache = _workspace.buffers = {}
-    buffers = cache.get((rows, cols))
-    if buffers is None:
-        if len(cache) >= 8:
-            cache.clear()
-        buffers = cache[(rows, cols)] = (
-            np.empty((rows, cols)),
-            np.empty((rows, cols)),
-            np.empty((rows, cols)),
-            np.empty((rows, cols)),
-            np.empty((rows, cols), dtype=bool),
-            np.empty((rows, cols), dtype=bool),
-        )
-    return buffers
-
 
 @dataclass(frozen=True)
 class SmoothApConfig:
@@ -181,32 +153,6 @@ def smooth_ap_query(scored, cfg):
     return float(np.mean(numer / denom))
 
 
-def _query_positive_pairs(class_ids, allow_degenerate, context):
-    """Index arrays (query k, positive instance i) over all valid queries.
-
-    A query is valid when at least one other row shares its class. Invalid
-    queries raise unless allow_degenerate, in which case they are skipped
-    with a warning and excluded from the loss mean.
-    """
-    same = class_ids[None, :] == class_ids[:, None]
-    num_pos = same.sum(axis=1) - 1
-    invalid = np.nonzero(num_pos < 1)[0]
-    if invalid.size:
-        if not allow_degenerate:
-            raise DegenerateQueryError(int(class_ids[invalid[0]]))
-        warnings.warn(
-            f"{context}: skipping {invalid.size} query(ies) with no in-batch positives",
-            stacklevel=3,
-        )
-    valid = num_pos >= 1
-    if not valid.any():
-        raise DegenerateQueryError(int(class_ids[0]))
-    pair_mask = same & valid[:, None]
-    np.fill_diagonal(pair_mask, False)
-    qidx, pidx = np.nonzero(pair_mask)
-    return same, num_pos, valid, qidx, pidx
-
-
 def smooth_ap_loss(batch, cfg, allow_degenerate=False):
     """Mean over queries of (1 - smoothed AP), with analytic gradients.
 
@@ -219,9 +165,12 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
     m = len(batch)
     unit, norms = normalize_rows(x)
     sims = unit @ unit.T
-    same, num_pos, valid, qidx, pidx = _query_positive_pairs(
-        class_ids, allow_degenerate, "smooth_ap_loss"
-    )
+    valid = queries_with_positives(class_ids, allow_degenerate, "smooth_ap_loss")
+    same = class_ids[None, :] == class_ids[:, None]
+    num_pos = same.sum(axis=1) - 1
+    pos_cols = same.copy()
+    np.fill_diagonal(pos_cols, False)  # columns j in P_k for row's query k
+    qidx, pidx = np.nonzero(pos_cols & valid[:, None])
     num_queries = int(valid.sum())
     total_rows = qidx.shape[0]
 
@@ -233,16 +182,14 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
     group_starts = np.flatnonzero(np.r_[True, qidx[1:] != qidx[:-1]])
     group_ends = np.r_[group_starts[1:], total_rows]
     rows_budget = max(64, 32768 // max(m, 1))
-    max_rows = max(rows_budget, int(num_pos.max(initial=0)))
-    pos_cols = same.copy()
-    np.fill_diagonal(pos_cols, False)  # columns j in P_k for row's query k
+    max_rows = min(max(rows_budget, int(num_pos.max(initial=0))), total_rows)
     row_frac = np.empty(total_rows)
     score_grad = np.zeros((m, m))
     local = np.arange(total_rows)
 
-    # Reused block workspace; fresh per-block arrays of this size would
-    # cross the allocator's mmap threshold and page-fault every block.
-    buf_diff, buf_g, buf_grad, buf_tmp, buf_pos, buf_neg = _loss_buffers(max_rows, m)
+    # Block workspace, allocated once per call and reused by every block.
+    buf_diff, buf_g, buf_grad, buf_tmp = (np.empty((max_rows, m)) for _ in range(4))
+    buf_pos, buf_neg = (np.empty((max_rows, m), dtype=bool) for _ in range(2))
 
     i = 0
     while i < group_starts.size:
@@ -299,15 +246,11 @@ def ap_approx_error(scored, cfg):
 
 def batch_ap_error(batch, cfg, allow_degenerate=False):
     """Mean per-query AP approximation error over a batch (self excluded)."""
-    _, num_pos, valid, _, _ = _query_positive_pairs(
-        batch.class_ids, allow_degenerate, "batch_ap_error"
-    )
+    valid = queries_with_positives(batch.class_ids, allow_degenerate, "batch_ap_error")
     m = len(batch)
     sims = batch.vectors @ batch.vectors.T
     errors = []
-    for k in range(m):
-        if not valid[k]:
-            continue
+    for k in np.flatnonzero(valid):
         keep = np.arange(m) != k
         scored = ScoredSet(sims[k, keep], batch.class_ids[keep] == batch.class_ids[k])
         errors.append(ap_approx_error(scored, cfg))

@@ -1,9 +1,12 @@
+import inspect
 import json
 
 import pytest
 
+from ranksmooth import cli
 from ranksmooth.cli import main
 from ranksmooth.encoder import load_encoder
+from ranksmooth.experiments import approx_error_sweep, operating_region_sweep
 
 
 @pytest.fixture()
@@ -184,6 +187,34 @@ class TestConfigPrecedence:
         assert "key=value" in capsys.readouterr().err
 
 
+    def test_unknown_key_names_file_line_and_key(self, tmp_path, dataset_csv, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = 2\ntua = 0.5\n")
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(dataset_csv), "--config", str(cfg), "-o", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and "'tua'" in err
+        assert not (out / "manifest.json").exists()
+
+    def test_seed_line_precedence(self, tmp_path, dataset_csv, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "seed = 9\nsteps = 2\neval_every = 2\ntau = 0.05\nbatch = 8\nper_class = 2\n"
+            "d_out = 6\ntest_fraction = 0.3\n"
+        )
+        monkeypatch.setenv("RANK_SMOOTH_SEED", "41")
+
+        def seed_of(name, *extra):
+            out = tmp_path / name
+            argv = ["train", "--data", str(dataset_csv), "--config", str(cfg), "-o", str(out)]
+            assert main(argv + list(extra)) == 0
+            return json.loads((out / "manifest.json").read_text())["seed"]
+
+        assert seed_of("file_over_env") == 9
+        assert seed_of("flag_over_file", "--seed", "5") == 5
+
+
 class TestSeedEnvFallback:
     def test_env_seed_used(self, tmp_path, dataset_csv, monkeypatch):
         monkeypatch.setenv("RANK_SMOOTH_SEED", "41")
@@ -275,6 +306,16 @@ class TestGradCheckCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+    def test_report_csv_written(self, tmp_path, capsys):
+        out = tmp_path / "gc"
+        code = main(["grad-check", "--m", "8", "--d", "4", "-o", str(out)])
+        assert code == 0
+        lines = (out / "grad_check.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("smooth-ap,1.0,")
+        assert lines[1].endswith(",1")
+
+
 class TestDiagnosticsCommands:
     def test_approx_error_csv(self, tmp_path, dataset_csv):
         out = tmp_path / "approx"
@@ -306,6 +347,19 @@ class TestDiagnosticsCommands:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(0.0 <= v <= 1.0 for v in values)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx-error", "--taus", ","],
+            ["region-sweep", "--batch-sizes", ","],
+            ["ablate", "--param", "tau", "--values", ","],
+        ],
+    )
+    def test_empty_list_usage_error(self, tmp_path, dataset_csv, capsys, argv):
+        code = main(argv + ["--data", str(dataset_csv), "-o", str(tmp_path / "o")])
+        assert code == 2
+        assert "at least one" in capsys.readouterr().err
+
     def test_region_sweep_rerun_identical(self, tmp_path, dataset_csv):
         outs = []
         for name in ("region_a", "region_b"):
@@ -318,3 +372,65 @@ class TestDiagnosticsCommands:
             )
             outs.append((out / "region_sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestFlagsFollowLibrary:
+    """The CLI's options and defaults are the library's, so they cannot
+    drift apart."""
+
+    def test_train_triplet_margin_reaches_config(self, tmp_path, dataset_csv):
+        code, out = run_train(
+            tmp_path, dataset_csv, extra=("--loss", "triplet", "--triplet-margin", "0.2")
+        )
+        assert code == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["loss"] == "triplet"
+        assert config["triplet_margin"] == 0.2
+
+    def test_hidden_dim_zero_usage_error(self, tmp_path, dataset_csv, capsys):
+        code, _ = run_train(tmp_path, dataset_csv, extra=("--hidden-dim", "0"))
+        assert code == 2
+        assert "hidden_dim" in capsys.readouterr().err
+
+    def test_ablate_any_train_field(self, tmp_path, dataset_csv):
+        out = tmp_path / "ablate"
+        code = main(
+            [
+                "ablate", "--data", str(dataset_csv), "--param", "weight_decay",
+                "--values", "0,1e-3", "--batch", "8", "--per-class", "2",
+                "--steps", "2", "--eval-every", "2", "--test-fraction", "0.3",
+                "--d-out", "6", "-o", str(out),
+            ]
+        )
+        assert code == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert lines[0].startswith("weight_decay,step,")
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "0.001"]
+
+    @pytest.mark.parametrize(
+        "command, name, library, fake",
+        [
+            ("approx-error", "approx_error_sweep", approx_error_sweep,
+             lambda ds, taus, steps, **kw: {tau: [0.0] * steps for tau in taus}),
+            ("region-sweep", "operating_region_sweep", operating_region_sweep,
+             lambda ds, batch_sizes, **kw: {b: 0.5 for b in batch_sizes}),
+        ],
+    )
+    def test_diagnostic_defaults_are_library_defaults(
+        self, tmp_path, dataset_csv, monkeypatch, command, name, library, fake
+    ):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(inspect.signature(library).bind(*args, **kwargs).arguments)
+            return fake(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        assert main([command, "--data", str(dataset_csv), "-o", str(tmp_path / "o")]) == 0
+        (passed,) = calls
+        for param in inspect.signature(library).parameters.values():
+            if param.default is inspect.Parameter.empty or param.name == "seed":
+                continue
+            got = passed.get(param.name, param.default)
+            got = tuple(got) if isinstance(got, list) else got
+            assert got == param.default, param.name

@@ -110,6 +110,13 @@ class TestCsvRoundTrip:
         with pytest.raises(FieldFormatError, match="line 2"):
             load_features_csv(path)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_names_line(self, tmp_path, field):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1,0.5,0.25\n1,1,0.1,0.2\n2,1,{field},0.4\n")
+        with pytest.raises(FieldFormatError, match="line 3.*finite"):
+            load_features_csv(path)
+
     def test_non_integer_class_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,x,0.5,0.25\n")

@@ -51,6 +51,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="loss"):
             tiny_config(loss="hinge")
 
+    def test_nonpositive_tau_rejected_for_every_loss(self):
+        for loss in ("smooth-ap", "triplet", "contrastive"):
+            with pytest.raises(ValueError, match="tau"):
+                tiny_config(loss=loss, tau=0.0)
+
+    def test_hidden_dim_below_one_rejected(self):
+        with pytest.raises(ValueError, match="hidden_dim"):
+            tiny_config(hidden_dim=0)
+
     def test_positive_counts_enforced(self):
         with pytest.raises(ValueError):
             tiny_config(batch_size=0)

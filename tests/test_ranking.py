@@ -60,6 +60,13 @@ class TestEmbeddingBatch:
         with pytest.raises(ValueError, match="norm"):
             EmbeddingBatch(np.array([[1.0, 1.0]]), np.array([0]))
 
+    def test_nan_row_rejected_by_index(self):
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0], [np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="row 2"):
+            EmbeddingBatch(vectors, np.array([0, 0, 1, 1]))
+        with pytest.raises(ValueError, match="row 2"):
+            EmbeddingBatch.from_raw(vectors, np.array([0, 0, 1, 1]))
+
     def test_from_raw_normalizes(self):
         batch = EmbeddingBatch.from_raw(np.array([[3.0, 4.0], [0.0, 2.0]]), [0, 1])
         assert np.allclose(np.linalg.norm(batch.vectors, axis=1), 1.0)
