@@ -3,9 +3,10 @@ ablation grids, and diagnostics, with CSV/SVG outputs.
 
 Every run writes a manifest (command, fully resolved config, seed, git
 describe, timestamps) before any compute starts, so a crashed run still
-leaves a record of the attempt. All CSV outputs are deterministic given
-identical flags and seed; wall-clock timings go to a separate
-timings.csv sidecar to keep that true.
+leaves a record of the attempt, and rewrites it when the run ends with
+its status ("ok" or "failed") and the error that ended it. All CSV
+outputs are deterministic given identical flags and seed; wall-clock
+timings go to a separate timings.csv sidecar to keep that true.
 
 Each subcommand takes its options and their defaults from the library
 object it calls: gen-data from SyntheticSpec, train and ablate from
@@ -200,10 +201,17 @@ def _git_describe():
 
 
 class Manifest:
-    """Run manifest written before compute and finalized afterwards."""
+    """Run manifest written before compute and finalized when the run ends.
+
+    Used as a context manager around the run: leaving it stamps
+    finished_at, the status ("ok", or "failed" when an exception left the
+    block) and the error message, and lists `outputs`, which the run sets
+    once its files are written.
+    """
 
     def __init__(self, path, command, config, seed):
         self.path = Path(path)
+        self.outputs = []
         self.body = {
             "command": command,
             "config": config,
@@ -211,6 +219,8 @@ class Manifest:
             "git_describe": _git_describe(),
             "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "finished_at": None,
+            "status": "running",
+            "error": None,
             "outputs": [],
         }
         self._write()
@@ -220,9 +230,14 @@ class Manifest:
             json.dump(self.body, fh, indent=2)
             fh.write("\n")
 
-    def finish(self, outputs):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, traceback):
         self.body["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        self.body["outputs"] = [str(p) for p in outputs]
+        self.body["status"] = "ok" if exc is None else "failed"
+        self.body["error"] = None if exc is None else str(exc) or exc_type.__name__
+        self.body["outputs"] = [str(p) for p in self.outputs]
         self._write()
 
 
@@ -247,11 +262,12 @@ def _write_metric_plots(out, records, outputs):
 def cmd_gen_data(args, params, seed):
     out = Path(args.output)
     config = dict(_spelled(params), seed=seed)
-    manifest = Manifest(str(out) + ".manifest.json", "gen-data", config, seed)
-    # signal_dim 0 asks for fully isotropic means (None in the library).
-    ds = build_dataset(SyntheticSpec(**dict(params, signal_dim=params["signal_dim"] or None)), seed)
-    save_features_csv(out, ds)
-    manifest.finish([out])
+    with Manifest(str(out) + ".manifest.json", "gen-data", config, seed) as manifest:
+        # signal_dim 0 asks for fully isotropic means (None in the library).
+        spec = SyntheticSpec(**dict(params, signal_dim=params["signal_dim"] or None))
+        ds = build_dataset(spec, seed)
+        save_features_csv(out, ds)
+        manifest.outputs = [out]
     print(f"wrote {len(ds)} rows to {out}")
     return 0
 
@@ -259,19 +275,19 @@ def cmd_gen_data(args, params, seed):
 def cmd_train(args, params, seed):
     cfg = TrainConfig(**params, seed=seed, data=CsvSpec(path=str(args.data)))
     out = _out_dir(args.output)
-    manifest = Manifest(out / "manifest.json", "train", asdict(cfg), seed)
-    result = train(cfg)
-    outputs = [out / "metrics.csv", out / "timings.csv", out / "encoder.bin"]
-    _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(r) for r in result.records])
-    _write_csv(
-        out / "timings.csv",
-        ("step", "wall_ms"),
-        [[r.step, r.wall_ms] for r in result.records],
-    )
-    save_encoder(out / "encoder.bin", result.params)
-    if args.plot:
-        _write_metric_plots(out, result.records, outputs)
-    manifest.finish(outputs)
+    with Manifest(out / "manifest.json", "train", asdict(cfg), seed) as manifest:
+        result = train(cfg)
+        outputs = [out / "metrics.csv", out / "timings.csv", out / "encoder.bin"]
+        _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(r) for r in result.records])
+        _write_csv(
+            out / "timings.csv",
+            ("step", "wall_ms"),
+            [[r.step, r.wall_ms] for r in result.records],
+        )
+        save_encoder(out / "encoder.bin", result.params)
+        if args.plot:
+            _write_metric_plots(out, result.records, outputs)
+        manifest.outputs = outputs
     final = result.final
     print(f"final step {final.step}: test mAP {final.test_map:.4f}, loss {final.train_loss:.4f}")
     return 0
@@ -285,18 +301,18 @@ def cmd_eval(args, params, seed):
         **params,
         "seed": seed,
     }
-    manifest = Manifest(out / "manifest.json", "eval", config, seed)
-    ds = load_features_csv(args.data)
-    if args.checkpoint:
-        encoder = load_encoder(args.checkpoint)
-    else:
-        encoder = init_encoder(ds.dim, params["d_out"], seed=seed)
-    batch = encode(ds.features, ds.class_ids, encoder)
-    diag = SmoothApConfig(params["tau"])
-    loss = smooth_ap_loss(batch, diag).loss
-    record = measure(0, loss, batch, encoder, ds, diag, time.perf_counter())
-    _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(record)])
-    manifest.finish([out / "metrics.csv"])
+    with Manifest(out / "manifest.json", "eval", config, seed) as manifest:
+        ds = load_features_csv(args.data)
+        if args.checkpoint:
+            encoder = load_encoder(args.checkpoint)
+        else:
+            encoder = init_encoder(ds.dim, params["d_out"], seed=seed)
+        batch = encode(ds.features, ds.class_ids, encoder)
+        diag = SmoothApConfig(params["tau"])
+        loss = smooth_ap_loss(batch, diag).loss
+        record = measure(0, loss, batch, encoder, ds, diag, time.perf_counter())
+        _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(record)])
+        manifest.outputs = [out / "metrics.csv"]
     print(f"mAP {record.test_map:.4f}, recall@1 {record.recall_at_1:.4f} over {len(ds)} instances")
     return 0
 
@@ -308,15 +324,11 @@ def cmd_ablate(args, params, seed):
     values = [_parse("--values", v, *TRAIN[name]) for v in args.values.split(",") if v.strip()]
     cfg = TrainConfig(**params, seed=seed, data=CsvSpec(path=str(args.data)))
     out = _out_dir(args.output)
-    manifest = Manifest(
-        out / "manifest.json",
-        "ablate",
-        {"base": asdict(cfg), "param": args.param, "values": values},
-        seed,
-    )
-    rows = [[value] + _metric_row(final) for value, final, _ in ablate(cfg, name, values)]
-    _write_csv(out / "summary.csv", (args.param,) + METRIC_COLUMNS, rows)
-    manifest.finish([out / "summary.csv"])
+    config = {"base": asdict(cfg), "param": args.param, "values": values}
+    with Manifest(out / "manifest.json", "ablate", config, seed) as manifest:
+        rows = [[value] + _metric_row(final) for value, final, _ in ablate(cfg, name, values)]
+        _write_csv(out / "summary.csv", (args.param,) + METRIC_COLUMNS, rows)
+        manifest.outputs = [out / "summary.csv"]
     for row in rows:
         print(f"{args.param}={row[0]}: test mAP {row[3]:.4f}")
     return 0
@@ -345,24 +357,24 @@ def cmd_grad_check(args, params, seed):
 def cmd_approx_error(args, params, seed):
     out = _out_dir(args.output)
     config = dict(_spelled(params), data=str(args.data), seed=seed)
-    manifest = Manifest(out / "manifest.json", "approx-error", config, seed)
-    sweep = approx_error_sweep(load_features_csv(args.data), **params, seed=seed)
     taus = params["taus"]
-    rows = [[tau, step, err] for tau in taus for step, err in enumerate(sweep[tau])]
-    _write_csv(out / "approx_error.csv", ("tau", "step", "ap_error"), rows)
-    outputs = [out / "approx_error.csv"]
-    if args.plot:
-        path = out / "plot_approx_error.svg"
-        line_chart(
-            path,
-            list(range(params["steps"])),
-            {f"tau={tau:g}": sweep[tau] for tau in taus},
-            "AP approximation error per training batch",
-            "step",
-            "ap_error",
-        )
-        outputs.append(path)
-    manifest.finish(outputs)
+    with Manifest(out / "manifest.json", "approx-error", config, seed) as manifest:
+        sweep = approx_error_sweep(load_features_csv(args.data), **params, seed=seed)
+        rows = [[tau, step, err] for tau in taus for step, err in enumerate(sweep[tau])]
+        _write_csv(out / "approx_error.csv", ("tau", "step", "ap_error"), rows)
+        outputs = [out / "approx_error.csv"]
+        if args.plot:
+            path = out / "plot_approx_error.svg"
+            line_chart(
+                path,
+                list(range(params["steps"])),
+                {f"tau={tau:g}": sweep[tau] for tau in taus},
+                "AP approximation error per training batch",
+                "step",
+                "ap_error",
+            )
+            outputs.append(path)
+        manifest.outputs = outputs
     for tau in taus:
         print(f"tau={tau:g}: mean ap_error {float(np.mean(sweep[tau])):.5f}")
     return 0
@@ -371,18 +383,18 @@ def cmd_approx_error(args, params, seed):
 def cmd_region_sweep(args, params, seed):
     out = _out_dir(args.output)
     config = dict(_spelled(params), data=str(args.data), seed=seed)
-    manifest = Manifest(out / "manifest.json", "region-sweep", config, seed)
-    sweep = operating_region_sweep(load_features_csv(args.data), **params, seed=seed)
     sizes = params["batch_sizes"]
-    rows = [[b, sweep[b]] for b in sizes]
-    _write_csv(out / "region_sweep.csv", ("batch_size", "mean_operating_region"), rows)
-    outputs = [out / "region_sweep.csv"]
-    if args.plot:
-        path = out / "plot_region_sweep.svg"
-        line_chart(path, sizes, {"P": [sweep[b] for b in sizes]},
-                   "Operating-region fraction vs batch size", "batch size", "P")
-        outputs.append(path)
-    manifest.finish(outputs)
+    with Manifest(out / "manifest.json", "region-sweep", config, seed) as manifest:
+        sweep = operating_region_sweep(load_features_csv(args.data), **params, seed=seed)
+        rows = [[b, sweep[b]] for b in sizes]
+        _write_csv(out / "region_sweep.csv", ("batch_size", "mean_operating_region"), rows)
+        outputs = [out / "region_sweep.csv"]
+        if args.plot:
+            path = out / "plot_region_sweep.svg"
+            line_chart(path, sizes, {"P": [sweep[b] for b in sizes]},
+                       "Operating-region fraction vs batch size", "batch size", "P")
+            outputs.append(path)
+        manifest.outputs = outputs
     for b in sizes:
         print(f"B={b}: mean P {sweep[b]:.4f}")
     return 0

@@ -9,7 +9,7 @@ import numpy as np
 
 
 class NormalizationError(ValueError):
-    """A row could not be L2-normalized (zero or near-zero norm)."""
+    """A row could not be L2-normalized (near-zero or non-finite norm)."""
 
 
 _NORM_FLOOR = 1e-12
@@ -19,13 +19,15 @@ def normalize_rows(x):
     """Return (unit-row copy of x, original row norms).
 
     Raises NormalizationError naming the first offending row if any row
-    has norm below the representable floor.
+    has norm below the representable floor, or a NaN or infinite norm.
     """
     x = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(x, axis=1)
-    bad = np.nonzero(norms < _NORM_FLOOR)[0]
+    bad = np.flatnonzero(~(norms >= _NORM_FLOOR) | np.isinf(norms))  # NaN fails >=
     if bad.size:
-        raise NormalizationError(f"row {bad[0]} has near-zero norm {norms[bad[0]]:.3e}")
+        row = int(bad[0])
+        kind = "near-zero" if np.isfinite(norms[row]) else "non-finite"
+        raise NormalizationError(f"row {row} has {kind} norm {norms[row]:.3e}")
     return x / norms[:, None], norms
 
 

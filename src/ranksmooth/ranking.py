@@ -5,7 +5,9 @@ in the package is measured against them. All functions are pure and all
 reductions run in fixed index order so repeated calls are bit-identical.
 
 Ties are broken by ascending original index (a proper ranking), and every
-batch-level evaluation removes the query from its own retrieval set.
+batch-level evaluation removes the query from its own retrieval set. Every
+ranking is read from one stable descending sort (_descending_order), so a
+query costs O(m log m) and mean AP over N queries O(N^2 log N).
 """
 
 import warnings
@@ -50,7 +52,8 @@ class ScoredSet:
     """Relevance scores paired with binary positivity labels for one query.
 
     scores : (m,) float array, higher = more relevant (typically cosine
-        similarities in [-1, 1], but any real scores are accepted).
+        similarities in [-1, 1], but any finite real scores are accepted;
+        NaN or infinity is an error naming the first such index).
     labels : (m,) bool array, True marks members of the positive set.
     """
 
@@ -66,6 +69,9 @@ class ScoredSet:
             raise ValueError(f"length mismatch: {scores.shape[0]} scores, {labels.shape[0]} labels")
         if scores.shape[0] < 1:
             raise ValueError("scored set must contain at least one instance")
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            raise ValueError(f"score {bad[0]} is {scores[bad[0]]}, expected a finite number")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels)
 
@@ -161,24 +167,17 @@ def cosine_scores(query_row, batch):
     return batch.vectors @ batch.vectors[query_row]
 
 
-def _outranked_by(scores):
-    """Boolean matrix: entry [i, j] is True when j ranks above i.
-
-    Descending score order; ties go to the lower original index, which
-    makes every ranking proper.
-    """
-    idx = np.arange(scores.shape[0])
-    return (scores[None, :] > scores[:, None]) | (
-        (scores[None, :] == scores[:, None]) & (idx[None, :] < idx[:, None])
-    )
+def _descending_order(scores):
+    """Positions of scores from highest to lowest, ties to the lower
+    position: the one ranking every exact metric here is read from."""
+    return np.argsort(-scores, kind="stable")
 
 
 def rank_in_set(i, subset_mask, scored):
     """1-based rank of instance i within the subset, under descending score.
 
-    Counts one plus the members of the subset (other than i itself) with a
-    strictly higher score, with index-order tie-breaking. i itself need
-    not belong to the subset.
+    Counts one plus the members of the subset ranked ahead of i, with
+    index-order tie-breaking. i itself need not belong to the subset.
     """
     scores = scored.scores
     m = scores.shape[0]
@@ -187,9 +186,9 @@ def rank_in_set(i, subset_mask, scored):
     mask = np.asarray(subset_mask, dtype=bool)
     if mask.shape != (m,):
         raise ValueError("subset mask length must match the scored set")
-    above = (scores > scores[i]) | ((scores == scores[i]) & (np.arange(m) < i))
-    above[i] = False
-    return int(1 + np.count_nonzero(above & mask))
+    order = _descending_order(scores)
+    ahead = order[: np.flatnonzero(order == i)[0]]
+    return int(1 + np.count_nonzero(mask[ahead]))
 
 
 def exact_ap(scored):
@@ -199,14 +198,18 @@ def exact_ap(scored):
     which equals the mean precision at each hit in the induced ranking.
     Always in (0, 1], and 1 exactly when every positive outranks every
     negative.
+
+    Along the sorted ranking, the running count of positives over the
+    position is the precision there, an exact integer ratio; the ratios
+    are averaged in the set's own index order.
     """
     labels = scored.labels
     if not labels.any():
         raise DegenerateLabelsError("cannot compute AP with no positive labels")
-    above = _outranked_by(scored.scores)
-    rank_all = 1 + above.sum(axis=1)
-    rank_pos = 1 + (above & labels[None, :]).sum(axis=1)
-    return float(np.mean(rank_pos[labels] / rank_all[labels]))
+    order = _descending_order(scored.scores)
+    precision = np.empty(len(scored))
+    precision[order] = np.cumsum(labels[order]) / np.arange(1, len(scored) + 1)
+    return float(np.mean(precision[labels]))
 
 
 def queries_with_positives(class_ids, allow_degenerate, context):
@@ -267,9 +270,8 @@ def recall_at_k(batch, ks, allow_degenerate=False):
     hits = {k: 0 for k in ks}
     queries = int(valid.sum())
     for q in np.flatnonzero(valid):
-        keep = np.nonzero(np.arange(m) != q)[0]
-        scores = sims[q, keep]
-        order = keep[np.lexsort((keep, -scores))]
+        keep = np.flatnonzero(np.arange(m) != q)
+        order = keep[_descending_order(sims[q, keep])]
         positive = batch.class_ids[order] == batch.class_ids[q]
         for k in ks:
             if positive[:k].any():

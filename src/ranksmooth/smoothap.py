@@ -136,20 +136,18 @@ def smooth_ap_query(scored, cfg):
     the sum of sigmoids of score differences against the other positives,
     and the smoothed overall rank additionally sums over the negatives.
     The j = i term is excluded from both sums. Output is in (0, 1] and
-    approaches exact_ap as cfg.tau goes to zero.
+    approaches exact_ap as cfg.tau goes to zero. Only the positives' rows
+    of the pairwise differences are formed: O(|P| m) per query.
     """
     labels = scored.labels
     if not labels.any():
         raise DegenerateLabelsError("cannot compute smoothed AP with no positive labels")
     s = scored.scores
-    diff = s[None, :] - s[:, None]
-    g = sigmoid(diff, cfg.tau)
-    np.fill_diagonal(g, 0.0)
-    pos_rows = g[labels]
-    pos_sum = pos_rows[:, labels].sum(axis=1)
-    neg_sum = pos_rows[:, ~labels].sum(axis=1)
-    numer = 1.0 + pos_sum
-    denom = numer + neg_sum
+    pos = np.flatnonzero(labels)
+    g = sigmoid(s[None, :] - s[pos][:, None], cfg.tau)  # one row per positive
+    g[np.arange(pos.size), pos] = 0.0
+    numer = 1.0 + g[:, labels].sum(axis=1)
+    denom = numer + g[:, ~labels].sum(axis=1)
     return float(np.mean(numer / denom))
 
 

@@ -3,11 +3,17 @@
 The oracles here are deliberately independent of the library's own
 computation paths: AP via an explicit sorted precision-at-hit walk, and
 gradients via central finite differences on the public loss surface.
+
+The reference implementations below reach the library's exact and
+smoothed AP through m x m pairwise matrices instead of one sort, with the
+same floating-point operations in the same order, so the library's
+kernels can be held to them with ==.
 """
 
 import numpy as np
 
 from ranksmooth.ranking import EmbeddingBatch
+from ranksmooth.smoothap import sigmoid
 
 
 def precision_at_hit_ap(scores, labels):
@@ -71,3 +77,67 @@ def nondegenerate_labelings(m):
     """Every boolean labeling of m items except all-false and all-true."""
     for bits in range(1, 2**m - 1):
         yield np.array([(bits >> i) & 1 == 1 for i in range(m)])
+
+
+def pairwise_ap(scores, labels):
+    """Exact AP from an m x m "j ranks above i" matrix: per positive,
+    (1 + positives above) / (1 + all above), averaged in index order."""
+    idx = np.arange(scores.shape[0])
+    above = (scores[None, :] > scores[:, None]) | (
+        (scores[None, :] == scores[:, None]) & (idx[None, :] < idx[:, None])
+    )
+    rank_all = 1 + above.sum(axis=1)
+    rank_pos = 1 + (above & labels[None, :]).sum(axis=1)
+    return float(np.mean(rank_pos[labels] / rank_all[labels]))
+
+
+def full_matrix_smooth_ap(scores, labels, tau):
+    """Smoothed AP from the full m x m sigmoid matrix, self terms zeroed,
+    keeping only the positive rows."""
+    g = sigmoid(scores[None, :] - scores[:, None], tau)
+    np.fill_diagonal(g, 0.0)
+    pos_rows = g[labels]
+    numer = 1.0 + pos_rows[:, labels].sum(axis=1)
+    denom = numer + pos_rows[:, ~labels].sum(axis=1)
+    return float(np.mean(numer / denom))
+
+
+def per_query_sets(batch):
+    """(scores, labels) of every batch query against the other rows, for
+    queries with at least one positive, scored as the library does."""
+    m = len(batch)
+    sims = batch.vectors @ batch.vectors.T
+    for k in range(m):
+        keep = np.arange(m) != k
+        labels = batch.class_ids[keep] == batch.class_ids[k]
+        if labels.any():
+            yield sims[k, keep], labels
+
+
+def pairwise_mean_ap(batch):
+    return float(np.mean([pairwise_ap(s, y) for s, y in per_query_sets(batch)]))
+
+
+def full_matrix_ap_error(batch, tau):
+    return float(np.mean([
+        abs(full_matrix_smooth_ap(s, y, tau) - pairwise_ap(s, y)) for s, y in per_query_sets(batch)
+    ]))
+
+
+def sorted_recall_at_k(vectors, class_ids, ks):
+    """Recall@K by the benchmark oracle's rule: each query's other rows by
+    descending score, ties to the lower row index; a hit is any positive
+    among the first k."""
+    n = vectors.shape[0]
+    sims = vectors @ vectors.T
+    index = np.arange(n)
+    hits = {k: 0 for k in ks}
+    queries = 0
+    for q in range(n):
+        others = index[index != q]
+        relevant = class_ids[others[np.lexsort((others, -sims[q, others]))]] == class_ids[q]
+        if relevant.any():
+            queries += 1
+            for k in ks:
+                hits[k] += bool(relevant[:k].any())
+    return {k: hits[k] / queries for k in ks}

@@ -129,7 +129,31 @@ class TestTrain:
         )
         assert code == 2
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["finished_at"] is None
+        assert manifest["status"] == "failed"
+
+    def test_failed_run_manifest_records_status_and_error(self, tmp_path, dataset_csv, capsys):
+        # 16 classes per batch of 64, but the train split has only 7.
+        out = tmp_path / "few-classes"
+        code = main(
+            [
+                "train", "--data", str(dataset_csv), "--loss", "contrastive",
+                "--batch", "64", "--steps", "1", "--test-fraction", "0.3", "-o", str(out),
+            ]
+        )
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["finished_at"] is not None
+        assert manifest["status"] == "failed"
+        assert "classes" in manifest["error"]
+        assert manifest["error"] in capsys.readouterr().err
+
+    def test_successful_run_manifest_records_ok(self, tmp_path, dataset_csv):
+        code, out = run_train(tmp_path, dataset_csv)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["finished_at"] is not None
+        assert manifest["status"] == "ok"
+        assert manifest["error"] is None
 
     def test_missing_dataset_usage_error(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "o")])

@@ -15,7 +15,7 @@ from ranksmooth.encoder import (
     param_arrays,
     save_encoder,
 )
-from ranksmooth.linalg import NormalizationError
+from ranksmooth.linalg import NormalizationError, normalize_rows
 
 
 class TestEncode:
@@ -46,6 +46,12 @@ class TestEncode:
         params = EncoderParams(weight=np.eye(2))
         with pytest.raises(NormalizationError, match="row 1"):
             encode(feats, np.arange(2), params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_error(self, bad):
+        x = np.array([[1.0, 0.0], [0.0, 2.0], [bad, 1.0]])
+        with pytest.raises(NormalizationError, match="row 2 has non-finite norm"):
+            normalize_rows(x)
 
     def test_class_ids_passed_through(self):
         rng = np.random.default_rng(3)

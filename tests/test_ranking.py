@@ -30,6 +30,11 @@ class TestScoredSet:
         with pytest.raises(ValueError):
             ScoredSet([], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected_by_index(self, bad):
+        with pytest.raises(ValueError, match="score 2 is"):
+            ScoredSet([0.3, 0.2, bad, 0.1, bad], [True, False, True, False, True])
+
     def test_counts(self):
         ss = ScoredSet([0.3, 0.2, 0.1], [True, False, True])
         assert ss.num_positive == 2
