@@ -57,6 +57,7 @@ from .ranking import (
     ScoredSet,
     cosine_scores,
     exact_ap,
+    map_and_recall,
     mean_ap,
     rank_in_set,
     recall_at_k,

@@ -50,40 +50,41 @@ def triplet_loss(batch, cfg, rng=None, allow_degenerate=False):
     if (batch.class_ids == batch.class_ids[0]).all():  # no anchor has a negative
         raise DegenerateQueryError(int(batch.class_ids[0]))
     same = batch.class_ids[None, :] == batch.class_ids[:, None]
+    negatives = ~same
     np.fill_diagonal(same, False)
-    others = ~np.eye(m, dtype=bool)
     score_grad = np.zeros((m, m))
     total = 0.0
     count = 0
 
     if cfg.mining == "all-valid":
-        # First pass counts triples so gradients can be scaled in one go.
-        anchors = np.nonzero(usable)[0]
-        pos_lists = [np.nonzero(same[a])[0] for a in anchors]
-        neg_lists = [np.nonzero(~same[a] & others[a])[0] for a in anchors]
-        count = sum(len(p) * len(n) for p, n in zip(pos_lists, neg_lists))
-        for a, pos, neg in zip(anchors, pos_lists, neg_lists):
-            hinge = sims[a, neg][None, :] - sims[a, pos][:, None] + cfg.margin
+        # Anchors with |P| positives all have m - 1 - |P| negatives, so the
+        # anchors of one class size form one dense (anchors, |P|, |N|)
+        # hinge block, each anchor's columns in ascending order.
+        num_pos = same.sum(axis=1)
+        count = int((num_pos * (m - 1 - num_pos))[usable].sum())
+        for size in np.unique(num_pos[usable]):
+            anchors = np.flatnonzero(usable & (num_pos == size))
+            pos = np.nonzero(same[anchors])[1].reshape(anchors.size, size)
+            neg = np.nonzero(negatives[anchors])[1].reshape(anchors.size, -1)
+            s_pos = np.take_along_axis(sims[anchors], pos, axis=1)
+            s_neg = np.take_along_axis(sims[anchors], neg, axis=1)
+            hinge = s_neg[:, None, :] - s_pos[:, :, None] + cfg.margin
             active = hinge > 0
-            total += hinge[active].sum()
-            score_grad[a, pos] -= active.sum(axis=1)
-            score_grad[a, neg] += active.sum(axis=0)
-        total /= count
-        score_grad /= count
+            total += np.sum(hinge, where=active)  # logged only, never differentiated
+            score_grad[anchors[:, None], pos] -= active.sum(axis=2)
+            score_grad[anchors[:, None], neg] += active.sum(axis=1)
     else:
-        for a in np.nonzero(usable)[0]:
-            pos = np.nonzero(same[a])[0]
-            neg = np.nonzero(~same[a] & others[a])[0]
-            p = int(rng.choice(pos))
-            n = int(rng.choice(neg))
+        for a in np.flatnonzero(usable):
+            p = int(rng.choice(np.flatnonzero(same[a])))
+            n = int(rng.choice(np.flatnonzero(negatives[a])))
             hinge = sims[a, n] - sims[a, p] + cfg.margin
             count += 1
             if hinge > 0:
                 total += hinge
                 score_grad[a, p] -= 1.0
                 score_grad[a, n] += 1.0
-        total /= count
-        score_grad /= count
+    total /= count
+    score_grad /= count
 
     embedding_grad = similarity_backward(unit, norms, score_grad)
     return LossOutput(loss=float(total), score_grad=score_grad, embedding_grad=embedding_grad)

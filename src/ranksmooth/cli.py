@@ -455,7 +455,7 @@ def main(argv=None):
             if path and not Path(path).exists():
                 raise UsageError(f"{what} not found: {path}")
         return args.func(args, params, seed)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

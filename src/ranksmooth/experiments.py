@@ -31,8 +31,9 @@ from .encoder import (
     encode,
     encode_backward,
     init_encoder,
+    param_arrays,
 )
-from .ranking import EmbeddingBatch, mean_ap, recall_at_k
+from .ranking import EmbeddingBatch, map_and_recall
 from .smoothap import (
     DEFAULT_GRAD_THRESHOLD,
     DEFAULT_TAU,
@@ -206,9 +207,7 @@ def _loss_for(cfg, batch):
 
 def evaluate_encoder(params, dataset, ks=(1, 4, 16)):
     """Test-split retrieval quality of an encoder: mAP and Recall@K."""
-    batch = encode(dataset.features, dataset.class_ids, params)
-    recalls = recall_at_k(batch, ks)
-    return float(mean_ap(batch)), {k: float(v) for k, v in recalls.items()}
+    return map_and_recall(encode(dataset.features, dataset.class_ids, params), ks)
 
 
 def measure(step, loss_value, batch, params, test_ds, diag, started):
@@ -245,14 +244,28 @@ def _train_steps(dataset, batches, params, opt, loss_fn):
     params) before the update, so the caller measures the parameters that
     produced the loss; the update runs when the caller asks for the next
     step. A loss_fn returning None skips the update.
+
+    A diverging run raises FloatingPointError naming the step: a
+    non-finite loss, or an update that leaves a parameter array with a
+    non-finite norm (past that, encoding overflows).
     """
-    for idx in batches:
+    for step, idx in enumerate(batches):
         batch = encode(dataset.features[idx], dataset.class_ids[idx], params)
         out = loss_fn(batch)
+        if out is not None and not np.isfinite(out.loss):
+            raise FloatingPointError(f"step {step}: training diverged, loss is {out.loss}")
         yield batch, out, params
         if out is not None:
             grads = encode_backward(dataset.features[idx], params, out.embedding_grad)
             params, opt = adam_step(params, grads, opt)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for name, array in param_arrays(params).items():
+                    norm = np.linalg.norm(array)
+                    if not np.isfinite(norm):
+                        raise FloatingPointError(
+                            f"step {step}: training diverged, the update left {name} "
+                            f"with norm {norm}"
+                        )
 
 
 def train(cfg):

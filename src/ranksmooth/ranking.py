@@ -28,6 +28,7 @@ __all__ = [
     "exact_ap",
     "mean_ap",
     "recall_at_k",
+    "map_and_recall",
     "queries_with_positives",
 ]
 
@@ -203,12 +204,15 @@ def exact_ap(scored):
     position is the precision there, an exact integer ratio; the ratios
     are averaged in the set's own index order.
     """
-    labels = scored.labels
-    if not labels.any():
+    if not scored.labels.any():
         raise DegenerateLabelsError("cannot compute AP with no positive labels")
-    order = _descending_order(scored.scores)
-    precision = np.empty(len(scored))
-    precision[order] = np.cumsum(labels[order]) / np.arange(1, len(scored) + 1)
+    return _ap_along(scored.labels, _descending_order(scored.scores))
+
+
+def _ap_along(labels, order):
+    """Exact AP of labels ranked by order (labels must hold a positive)."""
+    precision = np.empty(labels.shape[0])
+    precision[order] = np.cumsum(labels[order]) / np.arange(1, labels.shape[0] + 1)
     return float(np.mean(precision[labels]))
 
 
@@ -244,14 +248,7 @@ def mean_ap(batch, allow_degenerate=False):
     their queries are skipped with a warning.
     """
     valid = queries_with_positives(batch.class_ids, allow_degenerate, "mean_ap")
-    m = len(batch)
-    sims = batch.vectors @ batch.vectors.T
-    ap_values = []
-    for k in np.flatnonzero(valid):
-        keep = np.arange(m) != k
-        scored = ScoredSet(sims[k, keep], batch.class_ids[keep] == batch.class_ids[k])
-        ap_values.append(exact_ap(scored))
-    return float(np.mean(ap_values))
+    return _exact_metrics(batch, valid, ())[0]
 
 
 def recall_at_k(batch, ks, allow_degenerate=False):
@@ -260,20 +257,40 @@ def recall_at_k(batch, ks, allow_degenerate=False):
     Retrieval is by descending score with index tie-breaking, self
     excluded. Every k must be smaller than the batch size.
     """
-    m = len(batch)
+    ks = _checked_ks(ks, len(batch))
+    valid = queries_with_positives(batch.class_ids, allow_degenerate, "recall_at_k")
+    return _exact_metrics(batch, valid, ks)[1]
+
+
+def map_and_recall(batch, ks, allow_degenerate=False):
+    """(mean_ap(batch), recall_at_k(batch, ks)), equal to those two calls
+    but sorting each query once for both."""
+    ks = _checked_ks(ks, len(batch))
+    valid = queries_with_positives(batch.class_ids, allow_degenerate, "map_and_recall")
+    return _exact_metrics(batch, valid, ks)
+
+
+def _checked_ks(ks, m):
     ks = [int(k) for k in ks]
     for k in ks:
         if k < 1 or k >= m:
             raise ValueError(f"k={k} must satisfy 1 <= k < batch size {m}")
-    valid = queries_with_positives(batch.class_ids, allow_degenerate, "recall_at_k")
+    return ks
+
+
+def _exact_metrics(batch, valid, ks):
+    """Mean AP and {k: Recall@k} over the valid queries, each query's other
+    rows sorted once with O(m) scratch; APs are averaged in query order."""
+    m = len(batch)
     sims = batch.vectors @ batch.vectors.T
-    hits = {k: 0 for k in ks}
-    queries = int(valid.sum())
+    ap_values = []
+    hits = dict.fromkeys(ks, 0)
     for q in np.flatnonzero(valid):
-        keep = np.flatnonzero(np.arange(m) != q)
-        order = keep[_descending_order(sims[q, keep])]
-        positive = batch.class_ids[order] == batch.class_ids[q]
+        keep = np.arange(m) != q
+        labels = batch.class_ids[keep] == batch.class_ids[q]
+        order = _descending_order(sims[q, keep])
+        ap_values.append(_ap_along(labels, order))
+        ranked = labels[order]
         for k in ks:
-            if positive[:k].any():
-                hits[k] += 1
-    return {k: hits[k] / queries for k in ks}
+            hits[k] += bool(ranked[:k].any())
+    return float(np.mean(ap_values)), {k: hits[k] / len(ap_values) for k in ks}

@@ -15,6 +15,7 @@ rank by 0.5.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -288,12 +289,14 @@ def batch_operating_region(batch, cfg):
     return float(np.mean(fractions))
 
 
+@lru_cache
 def operating_region_halfwidth(cfg, max_iter=200):
     """Half-width of the score-difference interval with non-negligible
     gradient, found by bisection on sigmoid_grad(x) = grad_threshold.
 
     Returns 0.0 when even the peak derivative 1/(4 tau) is at or below the
-    threshold (empty region).
+    threshold (empty region). The config is frozen, so the bisection runs
+    once per config and later calls return the memoized float.
     """
     if sigmoid_grad(0.0, cfg.tau) <= cfg.grad_threshold:
         return 0.0

@@ -5,13 +5,15 @@ computation paths: AP via an explicit sorted precision-at-hit walk, and
 gradients via central finite differences on the public loss surface.
 
 The reference implementations below reach the library's exact and
-smoothed AP through m x m pairwise matrices instead of one sort, with the
-same floating-point operations in the same order, so the library's
-kernels can be held to them with ==.
+smoothed AP through m x m pairwise matrices instead of one sort, and the
+all-valid triplet loss through one hinge matrix per anchor instead of one
+block per class size, with the same floating-point operations in the same
+order, so the library's kernels can be held to them with ==.
 """
 
 import numpy as np
 
+from ranksmooth.linalg import normalize_rows, similarity_backward
 from ranksmooth.ranking import EmbeddingBatch
 from ranksmooth.smoothap import sigmoid
 
@@ -141,3 +143,29 @@ def sorted_recall_at_k(vectors, class_ids, ks):
             for k in ks:
                 hits[k] += bool(relevant[:k].any())
     return {k: hits[k] / queries for k in ks}
+
+
+def per_anchor_triplet(batch, margin):
+    """All-valid triplet loss one anchor at a time: (loss, score_grad,
+    embedding_grad). Anchors whose class has no other row are skipped."""
+    unit, norms = normalize_rows(batch.vectors)
+    m = len(batch)
+    sims = unit @ unit.T
+    same = batch.class_ids[None, :] == batch.class_ids[:, None]
+    np.fill_diagonal(same, False)
+    others = ~np.eye(m, dtype=bool)
+    anchors = np.flatnonzero(same.any(axis=1))
+    pos_lists = [np.nonzero(same[a])[0] for a in anchors]
+    neg_lists = [np.nonzero(~same[a] & others[a])[0] for a in anchors]
+    count = sum(len(p) * len(n) for p, n in zip(pos_lists, neg_lists))
+    score_grad = np.zeros((m, m))
+    total = 0.0
+    for a, pos, neg in zip(anchors, pos_lists, neg_lists):
+        hinge = sims[a, neg][None, :] - sims[a, pos][:, None] + margin
+        active = hinge > 0
+        total += hinge[active].sum()
+        score_grad[a, pos] -= active.sum(axis=1)
+        score_grad[a, neg] += active.sum(axis=0)
+    total /= count
+    score_grad /= count
+    return float(total), score_grad, similarity_backward(unit, norms, score_grad)

@@ -147,6 +147,14 @@ class TestTrain:
         assert "classes" in manifest["error"]
         assert manifest["error"] in capsys.readouterr().err
 
+    def test_diverging_run_manifest_names_the_step(self, tmp_path, dataset_csv, capsys):
+        code, out = run_train(tmp_path, dataset_csv, extra=("--lr", "1e300"))
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("step 0: training diverged")
+        assert manifest["error"] in capsys.readouterr().err
+
     def test_successful_run_manifest_records_ok(self, tmp_path, dataset_csv):
         code, out = run_train(tmp_path, dataset_csv)
         assert code == 0

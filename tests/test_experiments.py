@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ranksmooth import experiments
 from ranksmooth.data import gen_synthetic_clusters
 from ranksmooth.experiments import (
     CsvSpec,
@@ -110,6 +111,25 @@ class TestTrain:
     def test_hidden_layer_path(self):
         result = train(tiny_config(hidden_dim=10, steps=3, eval_every=3))
         assert result.params.weight_in.shape == (12, 10)
+
+    def test_diverging_update_names_its_step(self):
+        # The first update moves every weight by about lr, so the weight
+        # norm overflows before the next encode.
+        with pytest.raises(FloatingPointError, match=r"^step 0: .*weight"):
+            train(tiny_config(lr=1e300))
+
+    def test_nonfinite_loss_names_its_step(self, monkeypatch):
+        real_loss = experiments._loss_for
+        calls = []
+
+        def nan_at_step_two(cfg, batch):
+            calls.append(batch)
+            out = real_loss(cfg, batch)
+            return dataclasses.replace(out, loss=np.nan) if len(calls) == 3 else out
+
+        monkeypatch.setattr(experiments, "_loss_for", nan_at_step_two)
+        with pytest.raises(FloatingPointError, match=r"^step 2: .*loss is nan"):
+            train(tiny_config())
 
     def test_csv_spec_round_trip(self, tmp_path):
         from ranksmooth.data import save_features_csv
