@@ -2,11 +2,12 @@
 ablation grids, and diagnostics, with CSV/SVG outputs.
 
 Every run writes a manifest (command, fully resolved config, seed, git
-describe, timestamps) before any compute starts, so a crashed run still
-leaves a record of the attempt, and rewrites it when the run ends with
-its status ("ok" or "failed") and the error that ended it. All CSV
-outputs are deterministic given identical flags and seed; wall-clock
-timings go to a separate timings.csv sidecar to keep that true.
+describe, environment, timestamps) before any compute starts, so a
+crashed run still leaves a record of the attempt, and rewrites it when
+the run ends with its status ("ok" or "failed") and the error that ended
+it. All CSV outputs are deterministic given identical flags and seed;
+wall-clock timings go to a separate timings.csv sidecar to keep that
+true.
 
 Each subcommand takes its options and their defaults from the library
 object it calls: gen-data from SyntheticSpec, train and ablate from
@@ -200,6 +201,25 @@ def _git_describe():
     return "unknown"
 
 
+def _environment():
+    """Python, NumPy and BLAS versions, usable cores, and the environment
+    variables that set BLAS threads (None when unset)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # older NumPy has no "dicts" mode
+        blas = {}
+    affinity = getattr(os, "sched_getaffinity", None)
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "cores": len(affinity(0)) if affinity else os.cpu_count(),
+        **{var: os.environ.get(var) for var in threads},
+    }
+
+
 class Manifest:
     """Run manifest written before compute and finalized when the run ends.
 
@@ -217,6 +237,7 @@ class Manifest:
             "config": config,
             "seed": seed,
             "git_describe": _git_describe(),
+            "environment": _environment(),
             "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "finished_at": None,
             "status": "running",

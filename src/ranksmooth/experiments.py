@@ -406,6 +406,8 @@ def approx_error_sweep(dataset, taus=(0.1, 0.01, 0.001), steps=20, *, batch_size
     """
     if not taus:
         raise ValueError("taus must list at least one temperature")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     out = {}
     for cfg in [SmoothApConfig(tau) for tau in taus]:
         params = init_encoder(dataset.dim, d_out, seed=seed)
@@ -445,6 +447,8 @@ def operating_region_sweep(dataset, batch_sizes=(32, 64, 128, 256), *, tau=DEFAU
     for b in batch_sizes:
         if b < 1 or b > len(dataset):
             raise ValueError(f"batch size {b} out of range for dataset of {len(dataset)}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     orders = [
         np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, rep]).permutation(len(dataset))
         for rep in range(repeats)

@@ -7,7 +7,9 @@ reductions run in fixed index order so repeated calls are bit-identical.
 Ties are broken by ascending original index (a proper ranking), and every
 batch-level evaluation removes the query from its own retrieval set. Every
 ranking is read from one stable descending sort (_descending_order), so a
-query costs O(m log m) and mean AP over N queries O(N^2 log N).
+query costs O(m log m) and mean AP over N queries O(N^2 log N). Batch
+metrics rank a block of query rows per sort call (_query_blocks), with the
+same numbers as one query at a time.
 """
 
 import warnings
@@ -33,6 +35,9 @@ __all__ = [
 ]
 
 _UNIT_NORM_TOL = 1e-9
+
+# Elements per scratch array of a block of query rows, kept cache-sized.
+_BLOCK_ELEMENTS = 4096
 
 
 class DegenerateLabelsError(ValueError):
@@ -169,9 +174,10 @@ def cosine_scores(query_row, batch):
 
 
 def _descending_order(scores):
-    """Positions of scores from highest to lowest, ties to the lower
-    position: the one ranking every exact metric here is read from."""
-    return np.argsort(-scores, kind="stable")
+    """Positions of scores from highest to lowest along the last axis, ties
+    to the lower position: the one ranking every exact metric here is read
+    from."""
+    return np.argsort(-scores, axis=-1, kind="stable")
 
 
 def rank_in_set(i, subset_mask, scored):
@@ -200,20 +206,29 @@ def exact_ap(scored):
     Always in (0, 1], and 1 exactly when every positive outranks every
     negative.
 
-    Along the sorted ranking, the running count of positives over the
-    position is the precision there, an exact integer ratio; the ratios
-    are averaged in the set's own index order.
+    Along the sorted ranking, the k-th positive at position r has
+    precision k / r, an exact integer ratio; the ratios are averaged in
+    the set's own index order.
     """
     if not scored.labels.any():
         raise DegenerateLabelsError("cannot compute AP with no positive labels")
-    return _ap_along(scored.labels, _descending_order(scored.scores))
+    return float(_ranked_ap(scored.scores[None], scored.labels[None])[1][0])
 
 
-def _ap_along(labels, order):
-    """Exact AP of labels ranked by order (labels must hold a positive)."""
-    precision = np.empty(labels.shape[0])
-    precision[order] = np.cumsum(labels[order]) / np.arange(1, labels.shape[0] + 1)
-    return float(np.mean(precision[labels]))
+def _ranked_ap(scores, labels):
+    """Each row's exact AP, and the 0-based rank of its first positive.
+
+    scores, labels : (rows, n) arrays whose rows all hold the same number
+    (at least one) of positives, so the positives form (rows, |P|) blocks
+    and each row's mean is reduced like a 1-D mean.
+    """
+    order = _descending_order(scores)
+    ranked = np.take_along_axis(labels, order, axis=1)
+    hit_at = np.nonzero(ranked)[1].reshape(len(labels), -1)  # ascending per row
+    # The k-th hit (from 1) at rank r (from 1) has precision k / r.
+    precision = np.arange(1, hit_at.shape[1] + 1) / (hit_at + 1)
+    by_index = np.argsort(np.take_along_axis(order, hit_at, axis=1), axis=1)
+    return hit_at[:, 0], np.mean(np.take_along_axis(precision, by_index, axis=1), axis=1)
 
 
 def queries_with_positives(class_ids, allow_degenerate, context):
@@ -279,18 +294,40 @@ def _checked_ks(ks, m):
 
 
 def _exact_metrics(batch, valid, ks):
-    """Mean AP and {k: Recall@k} over the valid queries, each query's other
-    rows sorted once with O(m) scratch; APs are averaged in query order."""
-    m = len(batch)
-    sims = batch.vectors @ batch.vectors.T
-    ap_values = []
+    """Mean AP and {k: Recall@k} over the valid queries, ranked a block of
+    query rows at a time; APs are averaged in query order."""
+    ap = np.empty(np.count_nonzero(valid))
     hits = dict.fromkeys(ks, 0)
-    for q in np.flatnonzero(valid):
-        keep = np.arange(m) != q
-        labels = batch.class_ids[keep] == batch.class_ids[q]
-        order = _descending_order(sims[q, keep])
-        ap_values.append(_ap_along(labels, order))
-        ranked = labels[order]
+    for at, scores, labels in _query_blocks(batch, valid, lambda num_pos: len(batch) - 1):
+        first_hit, ap[at] = _ranked_ap(scores, labels)
         for k in ks:
-            hits[k] += bool(ranked[:k].any())
-    return float(np.mean(ap_values)), {k: hits[k] / len(ap_values) for k in ks}
+            hits[k] += int(np.count_nonzero(first_hit < k))
+    return float(np.mean(ap)), {k: hits[k] / ap.size for k in ks}
+
+
+def _query_blocks(batch, valid, row_elements):
+    """The valid queries in blocks of rows that share a positive count.
+
+    Yields (at, scores, labels) per block: the block's positions among the
+    valid queries, and each query's scores and positive labels against the
+    batch's other rows in index order, as (rows, m - 1) arrays. A block
+    holds at most _BLOCK_ELEMENTS // row_elements(num_pos) rows, so the
+    scratch of every block stays cache-sized.
+    """
+    m = len(batch)
+    class_ids = batch.class_ids
+    sims = batch.vectors @ batch.vectors.T
+    queries = np.flatnonzero(valid)
+    _, inverse, counts = np.unique(class_ids, return_inverse=True, return_counts=True)
+    num_pos = counts[inverse][queries] - 1
+    cols = np.arange(m)
+    for p in np.unique(num_pos):
+        group = np.flatnonzero(num_pos == p)
+        step = max(1, _BLOCK_ELEMENTS // row_elements(int(p)))
+        for start in range(0, group.size, step):
+            at = group[start : start + step]
+            q = queries[at]
+            others = cols != q[:, None]  # all but the query's own column
+            scores = sims[q][others].reshape(q.size, m - 1)
+            labels = (class_ids == class_ids[q][:, None])[others].reshape(q.size, m - 1)
+            yield at, scores, labels

@@ -21,9 +21,11 @@ import numpy as np
 
 from .linalg import normalize_rows, similarity_backward
 from .ranking import (
+    _BLOCK_ELEMENTS,
     DegenerateLabelsError,
     DifferenceMatrix,
-    ScoredSet,
+    _query_blocks,
+    _ranked_ap,
     exact_ap,
     queries_with_positives,
 )
@@ -140,16 +142,29 @@ def smooth_ap_query(scored, cfg):
     approaches exact_ap as cfg.tau goes to zero. Only the positives' rows
     of the pairwise differences are formed: O(|P| m) per query.
     """
-    labels = scored.labels
-    if not labels.any():
+    if not scored.labels.any():
         raise DegenerateLabelsError("cannot compute smoothed AP with no positive labels")
-    s = scored.scores
-    pos = np.flatnonzero(labels)
-    g = sigmoid(s[None, :] - s[pos][:, None], cfg.tau)  # one row per positive
-    g[np.arange(pos.size), pos] = 0.0
-    numer = 1.0 + g[:, labels].sum(axis=1)
-    denom = numer + g[:, ~labels].sum(axis=1)
-    return float(np.mean(numer / denom))
+    return float(_smooth_ap_rows(scored.scores[None], scored.labels[None], cfg.tau)[0])
+
+
+def _smooth_ap_rows(scores, labels, tau):
+    """Smoothed AP of each row of (rows, n) scores and labels whose rows all
+    hold the same number (at least one) of positives.
+
+    Differences are laid out [row, column, positive] and summed over the
+    column axis, which NumPy reduces in the same order for any number of
+    rows: left to right in index order for several positives, pairwise
+    for one.
+    """
+    rows, n = scores.shape
+    pos = scores[labels].reshape(rows, -1)
+    neg = scores[~labels].reshape(rows, n - pos.shape[1])
+    g = sigmoid(pos[:, :, None] - pos[:, None, :], tau)
+    diag = np.arange(pos.shape[1])
+    g[:, diag, diag] = 0.0  # the j = i self term
+    numer = 1.0 + g.sum(axis=1)
+    denom = numer + sigmoid(neg[:, :, None] - pos[:, None, :], tau).sum(axis=1)
+    return np.mean(numer / denom, axis=1)
 
 
 def smooth_ap_loss(batch, cfg, allow_degenerate=False):
@@ -244,15 +259,14 @@ def ap_approx_error(scored, cfg):
 
 
 def batch_ap_error(batch, cfg, allow_degenerate=False):
-    """Mean per-query AP approximation error over a batch (self excluded)."""
+    """Mean per-query AP approximation error over a batch (self excluded),
+    a block of query rows that share a positive count at a time."""
     valid = queries_with_positives(batch.class_ids, allow_degenerate, "batch_ap_error")
+    errors = np.empty(np.count_nonzero(valid))
     m = len(batch)
-    sims = batch.vectors @ batch.vectors.T
-    errors = []
-    for k in np.flatnonzero(valid):
-        keep = np.arange(m) != k
-        scored = ScoredSet(sims[k, keep], batch.class_ids[keep] == batch.class_ids[k])
-        errors.append(ap_approx_error(scored, cfg))
+    for at, scores, labels in _query_blocks(batch, valid, lambda num_pos: num_pos * (m - 1)):
+        exact = _ranked_ap(scores, labels)[1]
+        errors[at] = np.abs(_smooth_ap_rows(scores, labels, cfg.tau) - exact)
     return float(np.mean(errors))
 
 
@@ -280,13 +294,34 @@ def batch_operating_region(batch, cfg):
         return 0.0
     sims = batch.vectors @ batch.vectors.T
     m = len(batch)
-    fractions = np.empty(m)
-    for q in range(m):
-        row = np.sort(sims[q])
-        hi = np.searchsorted(row, row + halfwidth, side="left")
-        lo = np.searchsorted(row, row - halfwidth, side="right")
-        fractions[q] = float((hi - lo).sum()) / (m * m)
-    return float(np.mean(fractions))
+    close = np.empty(m, dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // (2 * m))
+    for start in range(0, m, step):
+        rows = np.sort(sims[start : start + step], axis=1)
+        # Per row, the pairs (i, j) with row_j < row_i + halfwidth minus
+        # those with row_j <= row_i - halfwidth.
+        close[start : start + step] = (
+            _count_below(rows, rows + halfwidth, before_ties=True)
+            - _count_below(rows, rows - halfwidth, before_ties=False)
+        )
+    return float(np.mean(close / (m * m)))
+
+
+def _count_below(rows, thresholds, before_ties):
+    """Per row, the sum over thresholds t of the number of row values below
+    t, or at most t when ties go after: the sum of searchsorted's "left" or
+    "right" positions.
+
+    rows and thresholds are (r, m) and sorted along each row. One stable
+    merge sort places each threshold among the values, before or after
+    equal ones by its side of the concatenation; the i-th threshold then
+    sits at (values counted) + i, and the i terms sum to m (m - 1) / 2.
+    """
+    m = rows.shape[1]
+    pair = (thresholds, rows) if before_ties else (rows, thresholds)
+    order = np.argsort(np.concatenate(pair, axis=1), axis=1, kind="stable")
+    is_threshold = order < m if before_ties else order >= m
+    return is_threshold @ np.arange(2 * m) - m * (m - 1) // 2
 
 
 @lru_cache

@@ -5,10 +5,12 @@ computation paths: AP via an explicit sorted precision-at-hit walk, and
 gradients via central finite differences on the public loss surface.
 
 The reference implementations below reach the library's exact and
-smoothed AP through m x m pairwise matrices instead of one sort, and the
-all-valid triplet loss through one hinge matrix per anchor instead of one
-block per class size, with the same floating-point operations in the same
-order, so the library's kernels can be held to them with ==.
+smoothed AP through m x m pairwise matrices instead of one sort, batch
+metrics and diagnostics one query at a time instead of a block of query
+rows at a time, and the all-valid triplet loss through one hinge matrix
+per anchor instead of one block per class size, with the same
+floating-point operations in the same order, so the library's kernels can
+be held to them with ==.
 """
 
 import numpy as np
@@ -124,6 +126,34 @@ def full_matrix_ap_error(batch, tau):
     return float(np.mean([
         abs(full_matrix_smooth_ap(s, y, tau) - pairwise_ap(s, y)) for s, y in per_query_sets(batch)
     ]))
+
+
+def per_query_map_and_recall(batch, ks):
+    """(mean AP, {k: Recall@k}) one query at a time over the queries with
+    a positive, APs averaged in query order."""
+    aps, hits = [], dict.fromkeys(ks, 0)
+    for scores, labels in per_query_sets(batch):
+        aps.append(pairwise_ap(scores, labels))
+        ranked = labels[np.argsort(-scores, kind="stable")]
+        for k in ks:
+            hits[k] += bool(ranked[:k].any())
+    return float(np.mean(aps)), {k: hits[k] / len(aps) for k in ks}
+
+
+def per_query_operating_region(batch, halfwidth):
+    """Mean operating-region fraction, one query's sorted scores and two
+    searchsorted calls at a time; 0.0 for an empty region."""
+    if halfwidth == 0.0:
+        return 0.0
+    sims = batch.vectors @ batch.vectors.T
+    m = len(batch)
+    fractions = np.empty(m)
+    for q in range(m):
+        row = np.sort(sims[q])
+        hi = np.searchsorted(row, row + halfwidth, side="left")
+        lo = np.searchsorted(row, row - halfwidth, side="right")
+        fractions[q] = float((hi - lo).sum()) / (m * m)
+    return float(np.mean(fractions))
 
 
 def sorted_recall_at_k(vectors, class_ids, ks):

@@ -1,6 +1,9 @@
 import inspect
 import json
+import os
+import sys
 
+import numpy as np
 import pytest
 
 from ranksmooth import cli
@@ -162,6 +165,20 @@ class TestTrain:
         assert manifest["finished_at"] is not None
         assert manifest["status"] == "ok"
         assert manifest["error"] is None
+
+    def test_manifest_records_environment(self, tmp_path, dataset_csv, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        code, out = run_train(tmp_path, dataset_csv)
+        assert code == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["blas"], str) and isinstance(env["blas_version"], str)
+        assert env["cores"] == len(os.sched_getaffinity(0))
+        assert env["OMP_NUM_THREADS"] == "3"
+        assert env["MKL_NUM_THREADS"] is None
+        assert "OPENBLAS_NUM_THREADS" in env
 
     def test_missing_dataset_usage_error(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "o")])
@@ -391,6 +408,22 @@ class TestDiagnosticsCommands:
         code = main(argv + ["--data", str(dataset_csv), "-o", str(tmp_path / "o")])
         assert code == 2
         assert "at least one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["approx-error", "--steps", "0"], "steps"),
+            (["region-sweep", "--batch-sizes", "4", "--repeats", "0"], "repeats"),
+            (["region-sweep", "--batch-sizes", "4", "--repeats", "-1"], "repeats"),
+        ],
+    )
+    def test_empty_sweep_fails(self, tmp_path, dataset_csv, capsys, argv, name):
+        out = tmp_path / "o"
+        code = main(argv + ["--data", str(dataset_csv), "-o", str(out)])
+        assert code == 2
+        assert f"error: {name} must be at least 1" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+        assert not list(out.glob("*.csv"))
 
     def test_region_sweep_rerun_identical(self, tmp_path, dataset_csv):
         outs = []

@@ -195,6 +195,12 @@ class TestApproxErrorSweep:
         b = approx_error_sweep(ds, [0.05], steps=3, batch_size=8, per_class=2, d_out=6)
         assert a == b
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_rejects_no_steps(self, steps):
+        ds = gen_synthetic_clusters(8, 6, 12, 0.15, seed=2, signal_dim=6)
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            approx_error_sweep(ds, [0.05], steps=steps, batch_size=8, per_class=2)
+
 
 class TestOperatingRegionSweep:
     def test_single_instance_batches_full_region(self):
@@ -212,6 +218,12 @@ class TestOperatingRegionSweep:
         ds = gen_synthetic_clusters(4, 2, 8, 0.2, seed=5)
         with pytest.raises(ValueError, match="out of range"):
             operating_region_sweep(ds, [9], repeats=1)
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_rejects_no_repeats(self, repeats):
+        ds = gen_synthetic_clusters(4, 2, 8, 0.2, seed=5)
+        with pytest.raises(ValueError, match="repeats must be at least 1"):
+            operating_region_sweep(ds, [4], repeats=repeats)
 
     def test_values_are_fractions(self):
         ds = gen_synthetic_clusters(6, 4, 8, 0.2, seed=6)

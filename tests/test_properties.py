@@ -1,19 +1,24 @@
-"""Property tests: the sort-based exact-ranking kernel and the batched
-triplet loss against the pairwise-matrix and per-anchor references in
-helpers, on random batches with tied scores, duplicate rows and uneven
-class sizes. Equalities are exact unless a tolerance is given."""
+"""Property tests: the row-blocked exact-ranking and diagnostic kernels and
+the batched losses against the pairwise-matrix, per-query and per-anchor
+references in helpers, on random batches with tied scores, duplicate rows
+and uneven class sizes. Equalities are exact unless a tolerance is given."""
 
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     full_matrix_ap_error,
+    full_matrix_smooth_ap,
     pairwise_ap,
     pairwise_mean_ap,
     per_anchor_triplet,
+    per_query_map_and_recall,
+    per_query_operating_region,
+    per_query_sets,
     precision_at_hit_ap,
     sorted_recall_at_k,
 )
@@ -21,8 +26,22 @@ from ranksmooth.baselines import TripletConfig, triplet_loss
 from ranksmooth.data import Dataset
 from ranksmooth.encoder import EncoderParams, encode
 from ranksmooth.experiments import evaluate_encoder
-from ranksmooth.ranking import EmbeddingBatch, ScoredSet, exact_ap, mean_ap, recall_at_k
-from ranksmooth.smoothap import SmoothApConfig, batch_ap_error, operating_region_halfwidth
+from ranksmooth.ranking import (
+    EmbeddingBatch,
+    ScoredSet,
+    exact_ap,
+    map_and_recall,
+    mean_ap,
+    recall_at_k,
+)
+from ranksmooth.smoothap import (
+    SmoothApConfig,
+    batch_ap_error,
+    batch_operating_region,
+    operating_region_halfwidth,
+    smooth_ap_loss,
+    smooth_ap_query,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -36,6 +55,14 @@ CLASS_SIZES = st.lists(st.integers(2, 6), min_size=1, max_size=5)
 TRIPLET_CLASS_SIZES = st.lists(st.integers(1, 6), min_size=2, max_size=5).filter(
     lambda sizes: max(sizes) >= 2
 )
+
+# Classes of up to 12 rows make the positive and negative sums run past
+# the 8 terms NumPy's pairwise summation adds in one run, where summation
+# order shows; singleton classes need allow_degenerate.
+WIDE_CLASS_SIZES = st.lists(st.integers(1, 12), min_size=1, max_size=5).filter(
+    lambda sizes: max(sizes) >= 2
+)
+TAUS = st.sampled_from([0.001, 0.01, 0.1, 1.0])
 
 
 @st.composite
@@ -123,3 +150,87 @@ def test_memoized_halfwidth_equals_fresh_bisection(tau, threshold):
     fresh = operating_region_halfwidth.__wrapped__(cfg)
     assert operating_region_halfwidth(cfg) == fresh
     assert operating_region_halfwidth(SmoothApConfig(tau, threshold)) == fresh
+
+
+@PROPERTY_SETTINGS
+@given(batches(WIDE_CLASS_SIZES))
+def test_map_and_recall_equals_per_query_loop(batch):
+    ks = range(1, len(batch))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # singleton classes are skipped with a warning
+        got = map_and_recall(batch, ks, allow_degenerate=True)
+    assert got == per_query_map_and_recall(batch, ks)
+
+
+@PROPERTY_SETTINGS
+@given(batches(WIDE_CLASS_SIZES), TAUS)
+def test_batch_ap_error_equals_full_matrix_formula_wide_classes(batch, tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = batch_ap_error(batch, SmoothApConfig(tau), allow_degenerate=True)
+    assert got == full_matrix_ap_error(batch, tau)
+
+
+@PROPERTY_SETTINGS
+@given(scored_sets(), TAUS)
+def test_smooth_ap_query_equals_full_matrix_formula(scored, tau):
+    got = smooth_ap_query(scored, SmoothApConfig(tau))
+    assert got == full_matrix_smooth_ap(scored.scores, scored.labels, tau)
+
+
+# At tau 100 with threshold 0.005, and at tau 1 with threshold 1, the peak
+# derivative 1 / (4 tau) is at or below the threshold: the region is empty.
+@PROPERTY_SETTINGS
+@given(batches(WIDE_CLASS_SIZES), st.sampled_from([0.001, 0.01, 0.1, 1.0, 100.0]),
+       st.sampled_from([0.005, 0.05, 1.0]))
+def test_batch_operating_region_equals_per_query_loop(batch, tau, threshold):
+    cfg = SmoothApConfig(tau, threshold)
+    halfwidth = operating_region_halfwidth(cfg)
+    assert batch_operating_region(batch, cfg) == per_query_operating_region(batch, halfwidth)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(-16, 16).map(lambda v: v / 16), min_size=1, max_size=8),
+       st.sampled_from([0.01, 0.05, 0.1]))
+def test_batch_operating_region_edge_ties(bases, tau):
+    """Scores exactly one half-width apart (in floating point) sit on the
+    region's edge, which lies outside it. Row 0 is (1, 0), so its scores
+    are the other rows' first coordinates."""
+    cfg = SmoothApConfig(tau)
+    halfwidth = operating_region_halfwidth(cfg)
+    x = np.array([1.0] + bases + [b + halfwidth for b in bases] + [b - halfwidth for b in bases])
+    x = x[np.abs(x) <= 1.0]
+    batch = EmbeddingBatch(np.stack([x, np.sqrt(1.0 - x * x)], axis=1), np.zeros(x.size, int))
+    assert batch_operating_region(batch, cfg) == per_query_operating_region(batch, halfwidth)
+
+
+@PROPERTY_SETTINGS
+@given(batches(WIDE_CLASS_SIZES), st.sampled_from([0.001, 0.01, 0.05, 0.1, 1.0]))
+def test_smooth_ap_loss_matches_per_query_route(batch, tau):
+    cfg = SmoothApConfig(tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        loss = smooth_ap_loss(batch, cfg, allow_degenerate=True).loss
+    aps = [smooth_ap_query(ScoredSet(s, y), cfg) for s, y in per_query_sets(batch)]
+    assert abs(loss - float(np.mean(1.0 - np.array(aps)))) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_many_block_batches_equal_per_query_loops(seed):
+    """Batches of about 150 rows, large enough that the score rows and
+    most positive counts span several row blocks, with uneven classes
+    including singletons."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 13, size=24)
+    class_ids = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+    rows = rng.integers(-2, 3, size=(class_ids.size, 3)).astype(float)
+    rows[~rows.any(axis=1), 0] = 1.0
+    batch = EmbeddingBatch.from_raw(rows, class_ids)
+    ks = (1, 5, 50)
+    cfg = SmoothApConfig(0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert map_and_recall(batch, ks, allow_degenerate=True) == per_query_map_and_recall(batch, ks)
+        assert batch_ap_error(batch, cfg, allow_degenerate=True) == full_matrix_ap_error(batch, 0.01)
+    halfwidth = operating_region_halfwidth(cfg)
+    assert batch_operating_region(batch, cfg) == per_query_operating_region(batch, halfwidth)
