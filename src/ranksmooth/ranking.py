@@ -298,32 +298,32 @@ def _exact_metrics(batch, valid, ks):
     query rows at a time; APs are averaged in query order."""
     ap = np.empty(np.count_nonzero(valid))
     hits = dict.fromkeys(ks, 0)
-    for at, scores, labels in _query_blocks(batch, valid, lambda num_pos: len(batch) - 1):
+    sims = batch.vectors @ batch.vectors.T
+    for at, scores, labels in _query_blocks(sims, batch.class_ids, valid, lambda p: len(sims) - 1):
         first_hit, ap[at] = _ranked_ap(scores, labels)
         for k in ks:
             hits[k] += int(np.count_nonzero(first_hit < k))
     return float(np.mean(ap)), {k: hits[k] / ap.size for k in ks}
 
 
-def _query_blocks(batch, valid, row_elements):
+def _query_blocks(sims, class_ids, valid, row_elements, budget=_BLOCK_ELEMENTS):
     """The valid queries in blocks of rows that share a positive count.
 
+    sims is the (m, m) score matrix of a batch with the given class ids.
     Yields (at, scores, labels) per block: the block's positions among the
     valid queries, and each query's scores and positive labels against the
     batch's other rows in index order, as (rows, m - 1) arrays. A block
-    holds at most _BLOCK_ELEMENTS // row_elements(num_pos) rows, so the
-    scratch of every block stays cache-sized.
+    holds at most budget // row_elements(num_pos) rows, so the scratch of
+    every block stays cache-sized.
     """
-    m = len(batch)
-    class_ids = batch.class_ids
-    sims = batch.vectors @ batch.vectors.T
+    m = len(sims)
     queries = np.flatnonzero(valid)
     _, inverse, counts = np.unique(class_ids, return_inverse=True, return_counts=True)
     num_pos = counts[inverse][queries] - 1
     cols = np.arange(m)
     for p in np.unique(num_pos):
         group = np.flatnonzero(num_pos == p)
-        step = max(1, _BLOCK_ELEMENTS // row_elements(int(p)))
+        step = max(1, budget // row_elements(int(p)))
         for start in range(0, group.size, step):
             at = group[start : start + step]
             q = queries[at]

@@ -12,6 +12,13 @@ through the smoothed AP, the cosine scores, and the row normalization.
 Self-comparison terms are excluded from both the positive and negative
 sums: counting the sigmoid of a zero difference would bias every smoothed
 rank by 0.5.
+
+The loss and the batch AP error run on the query blocks of
+ranking._query_blocks (queries that share a positive count), and every
+sigmoid and its derivative come from one stable evaluator, _sigmoid_parts.
+The loss lays a block out [row, positive, column] and takes its backward
+pass in the same block; the AP error and smooth_ap_query lay it out
+[row, column, positive].
 """
 
 from dataclasses import dataclass
@@ -47,6 +54,10 @@ __all__ = [
 DEFAULT_TAU = 0.01
 DEFAULT_GRAD_THRESHOLD = 0.005
 
+# Elements per difference block of the loss: its few full-size blocks
+# amortize the per-block overhead that a cache-sized budget pays many times.
+_LOSS_BLOCK_ELEMENTS = 32768
+
 @dataclass(frozen=True)
 class SmoothApConfig:
     """Temperature of the smoothing sigmoid and the gradient-magnitude cut
@@ -78,32 +89,24 @@ class LossOutput:
     embedding_grad: np.ndarray
 
 
-def _stable_sigmoid_parts(x, tau):
-    z = np.asarray(x, dtype=np.float64) / tau
-    t = np.exp(-np.abs(z))
-    return z, t
-
-
-def _sigmoid_and_grad(x, tau, g_out, grad_out, scratch):
-    """Fused stable sigmoid and derivative into preallocated buffers.
-
-    One exp, no fresh allocations; the loss evaluates this over
-    m^2-sized arrays where both the exp count and allocator traffic are
-    the cost.
-    """
+def _sigmoid_parts(x, tau):
+    """sigmoid(x, tau) and sigmoid_grad(x, tau) of a float64 array x, from
+    one exp(-|x| / tau) written over a private copy of x."""
     inv_tau = 1.0 / tau
-    t = np.abs(x, out=scratch)
+    t = np.abs(x, dtype=np.float64)
     t *= -inv_tau
-    np.exp(t, out=t)  # exp(-|x| / tau)
-    u = np.add(t, 1.0, out=g_out)
-    np.divide(1.0, u, out=u)  # 1 / (1 + t), i.e. sigmoid(|x| / tau)
-    np.multiply(t, u, out=grad_out)
-    grad_out *= u
-    grad_out *= inv_tau  # t / (1 + t)^2 / tau, symmetric in x
-    # u holds sigmoid(|x|/tau); reflect the negative side: 1 - u.
-    np.subtract(1.0, u, out=t)
-    np.copyto(u, t, where=x < 0.0)
-    return u, grad_out
+    np.exp(t, out=t)
+    g = np.add(t, 1.0)
+    np.divide(1.0, g, out=g)  # sigmoid(|x| / tau), in [0.5, 1]
+    t *= g
+    t *= g
+    t *= inv_tau  # exp(-|x| / tau) / (1 + exp(-|x| / tau))^2 / tau, even in x
+    # Reflect the negative side without a masked ufunc: 0.5 + (g - 0.5)
+    # is g and 0.5 - (g - 0.5) is 1 - g, each rounded exactly.
+    g -= 0.5
+    np.copysign(g, x, out=g)
+    g += 0.5
+    return g, t
 
 
 def sigmoid(x, tau):
@@ -115,9 +118,8 @@ def sigmoid(x, tau):
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    z, t = _stable_sigmoid_parts(x, tau)
-    out = np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    return float(out) if np.ndim(x) == 0 else out
+    out = _sigmoid_parts(np.atleast_1d(x), tau)[0]
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def sigmoid_grad(x, tau):
@@ -127,9 +129,8 @@ def sigmoid_grad(x, tau):
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    _, t = _stable_sigmoid_parts(x, tau)
-    out = t / ((1.0 + t) ** 2 * tau)
-    return float(out) if np.ndim(x) == 0 else out
+    out = _sigmoid_parts(np.atleast_1d(x), tau)[1]
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def smooth_ap_query(scored, cfg):
@@ -172,83 +173,46 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
 
     Every batch row queries all the others. Cost is O(m^2) per query row
     restricted to its positives, i.e. O(m^2 * per-class count) overall for
-    class-balanced batches.
+    class-balanced batches. Queries that share a positive count form
+    (rows, |P|, m - 1) blocks of differences, column axis innermost, and
+    the backward pass runs in the same blocks.
     """
-    x = batch.vectors
-    class_ids = batch.class_ids
     m = len(batch)
-    unit, norms = normalize_rows(x)
+    unit, norms = normalize_rows(batch.vectors)
     sims = unit @ unit.T
-    valid = queries_with_positives(class_ids, allow_degenerate, "smooth_ap_loss")
-    same = class_ids[None, :] == class_ids[:, None]
-    num_pos = same.sum(axis=1) - 1
-    pos_cols = same.copy()
-    np.fill_diagonal(pos_cols, False)  # columns j in P_k for row's query k
-    qidx, pidx = np.nonzero(pos_cols & valid[:, None])
-    num_queries = int(valid.sum())
-    total_rows = qidx.shape[0]
-
-    # One row per (query, positive) pair: differences of the query's
-    # scores against the pair's positive instance. Rows arrive grouped by
-    # query (np.nonzero is row-major); processing a cache-sized run of
-    # whole query groups at a time bounds the working set without
-    # changing any result.
-    group_starts = np.flatnonzero(np.r_[True, qidx[1:] != qidx[:-1]])
-    group_ends = np.r_[group_starts[1:], total_rows]
-    rows_budget = max(64, 32768 // max(m, 1))
-    max_rows = min(max(rows_budget, int(num_pos.max(initial=0))), total_rows)
-    row_frac = np.empty(total_rows)
+    valid = queries_with_positives(batch.class_ids, allow_degenerate, "smooth_ap_loss")
+    queries = np.flatnonzero(valid)
+    ap = np.empty(queries.size)
     score_grad = np.zeros((m, m))
-    local = np.arange(total_rows)
+    cols = np.arange(m - 1)
+    blocks = _query_blocks(sims, batch.class_ids, valid, lambda p: p * (m - 1), _LOSS_BLOCK_ELEMENTS)
+    for at, scores, labels in blocks:
+        rows = np.arange(at.size)[:, None]
+        pos_at = np.nonzero(labels)[1].reshape(at.size, -1)  # positive columns
+        pos = np.arange(pos_at.shape[1])
+        g, gprime = _sigmoid_parts(scores[:, None, :] - scores[rows, pos_at][:, :, None], cfg.tau)
+        g[rows, pos, pos_at] = gprime[rows, pos, pos_at] = 0.0  # the j = i self term
+        pos_cols = rows[:, :, None], pos[:, None], pos_at[:, None, :]  # [r, i, positive k]
+        numer = 1.0 + g[pos_cols].sum(axis=2)
+        denom = 1.0 + g.sum(axis=2)
+        ap[at] = np.mean(numer / denom, axis=1)
 
-    # Block workspace, allocated once per call and reused by every block.
-    buf_diff, buf_g, buf_grad, buf_tmp = (np.empty((max_rows, m)) for _ in range(4))
-    buf_pos, buf_neg = (np.empty((max_rows, m), dtype=bool) for _ in range(2))
-
-    i = 0
-    while i < group_starts.size:
-        j = i + 1
-        while j < group_starts.size and group_ends[j] - group_starts[i] <= rows_budget:
-            j += 1
-        lo, hi = group_starts[i], group_ends[j - 1]
-        q_blk = qidx[lo:hi]
-        p_blk = pidx[lo:hi]
-        n_blk = hi - lo
-        diff = np.take(sims, q_blk, axis=0, out=buf_diff[:n_blk])
-        diff -= sims[q_blk, p_blk][:, None]
-        g, gprime = _sigmoid_and_grad(
-            diff, cfg.tau, buf_g[:n_blk], buf_grad[:n_blk], buf_tmp[:n_blk]
+        # d loss / d G[r, i, j] is numer c on every column and -denom c more
+        # on the positive columns, with c = 1 / (Q |P| denom^2) folding in
+        # d loss / d AP = -1/Q and each query's mean over its positives.
+        c = 1.0 / (queries.size * pos.size * denom**2)
+        neg_w, pos_w = numer * c, -denom * c
+        gprime_pos = gprime[pos_cols]
+        col_grad = (neg_w[:, None, :] @ gprime)[:, 0]
+        # diff[r, i, j] = s[j] - s[pos_at[i]]: column j gains, positive i
+        # loses its row sum.
+        col_grad[rows, pos_at] += (pos_w[:, None, :] @ gprime_pos)[:, 0] - (
+            neg_w * gprime.sum(axis=2) + pos_w * gprime_pos.sum(axis=2)
         )
-        pos_blk = np.take(pos_cols, q_blk, axis=0, out=buf_pos[:n_blk])
-        neg_blk = np.take(same, q_blk, axis=0, out=buf_neg[:n_blk])
-        np.logical_not(neg_blk, out=neg_blk)
-        # The j = i self term sits inside pos_blk with G(0) exactly 0.5;
-        # subtracting it is cheaper than a per-row column mask.
-        numer = 0.5 + np.sum(g, axis=1, where=pos_blk)
-        denom = numer + np.sum(g, axis=1, where=neg_blk)
-        row_frac[lo:hi] = numer / denom
+        q = queries[at][:, None]
+        score_grad[q, cols + (cols >= q)] = col_grad
 
-        # d loss / d diff, folding in d loss / d AP_k = -1/Q and the
-        # 1/|P_k| factor of each query's mean over its positives.
-        coeff = -1.0 / (num_queries * num_pos[q_blk].astype(np.float64))
-        scaled = coeff / denom**2
-        dloss_ddiff = buf_tmp[:n_blk]
-        np.copyto(dloss_ddiff, (-numer * scaled)[:, None])
-        np.copyto(dloss_ddiff, ((denom - numer) * scaled)[:, None], where=pos_blk)
-        dloss_ddiff[local[:n_blk], q_blk] = 0.0  # the query's own column
-        dloss_ddiff[local[:n_blk], p_blk] = 0.0  # the j = i self term
-        dloss_ddiff *= gprime
-
-        # diff[r, j] = sims[k, j] - sims[k, i]: row r adds +1 to its
-        # query's column j and -1 at the unique (k, i) center.
-        score_grad[qidx[group_starts[i:j]]] = np.add.reduceat(
-            dloss_ddiff, group_starts[i:j] - lo, axis=0
-        )
-        score_grad[q_blk, p_blk] -= dloss_ddiff.sum(axis=1)
-        i = j
-
-    ap_per_query = np.bincount(qidx, weights=row_frac, minlength=m)[valid] / num_pos[valid]
-    loss = float(np.mean(1.0 - ap_per_query))
+    loss = float(np.mean(1.0 - ap))
     embedding_grad = similarity_backward(unit, norms, score_grad)
     return LossOutput(loss=loss, score_grad=score_grad, embedding_grad=embedding_grad)
 
@@ -264,7 +228,8 @@ def batch_ap_error(batch, cfg, allow_degenerate=False):
     valid = queries_with_positives(batch.class_ids, allow_degenerate, "batch_ap_error")
     errors = np.empty(np.count_nonzero(valid))
     m = len(batch)
-    for at, scores, labels in _query_blocks(batch, valid, lambda num_pos: num_pos * (m - 1)):
+    sims = batch.vectors @ batch.vectors.T
+    for at, scores, labels in _query_blocks(sims, batch.class_ids, valid, lambda p: p * (m - 1)):
         exact = _ranked_ap(scores, labels)[1]
         errors[at] = np.abs(_smooth_ap_rows(scores, labels, cfg.tau) - exact)
     return float(np.mean(errors))

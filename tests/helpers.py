@@ -10,14 +10,16 @@ metrics and diagnostics one query at a time instead of a block of query
 rows at a time, and the all-valid triplet loss through one hinge matrix
 per anchor instead of one block per class size, with the same
 floating-point operations in the same order, so the library's kernels can
-be held to them with ==.
+be held to them with ==. The smoothed-AP score gradient is the exception:
+its dense m x m reference sums in another order, so it is held to a
+tolerance.
 """
 
 import numpy as np
 
 from ranksmooth.linalg import normalize_rows, similarity_backward
 from ranksmooth.ranking import EmbeddingBatch
-from ranksmooth.smoothap import sigmoid
+from ranksmooth.smoothap import sigmoid, sigmoid_grad
 
 
 def precision_at_hit_ap(scores, labels):
@@ -104,6 +106,25 @@ def full_matrix_smooth_ap(scores, labels, tau):
     numer = 1.0 + pos_rows[:, labels].sum(axis=1)
     denom = numer + pos_rows[:, ~labels].sum(axis=1)
     return float(np.mean(numer / denom))
+
+
+def full_matrix_smooth_ap_grad(scores, labels, tau):
+    """d smoothed AP / d scores of one query from the full m x m sigmoid
+    and sigmoid-derivative matrices, self terms zeroed: entry [i, j] of
+    d AP / d D, with D[i, j] = scores[j] - scores[i], adds to column j and
+    takes from column i. Each d (numer_i / denom_i) / d G[i, j] is written
+    without cancellation: the negatives' sum over denom^2 on a positive
+    column, -numer / denom^2 on a negative one."""
+    d = scores[None, :] - scores[:, None]
+    g = sigmoid(d, tau)
+    gprime = sigmoid_grad(d, tau)
+    np.fill_diagonal(g, 0.0)
+    np.fill_diagonal(gprime, 0.0)
+    numer = 1.0 + (g * labels).sum(axis=1)
+    neg = (g * ~labels).sum(axis=1)
+    dfrac = np.where(labels[None, :], neg[:, None], -numer[:, None]) / (numer + neg)[:, None] ** 2
+    dd = np.where(labels[:, None], dfrac * gprime, 0.0) / labels.sum()
+    return dd.sum(axis=0) - dd.sum(axis=1)
 
 
 def per_query_sets(batch):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     full_matrix_ap_error,
     full_matrix_smooth_ap,
+    full_matrix_smooth_ap_grad,
     pairwise_ap,
     pairwise_mean_ap,
     per_anchor_triplet,
@@ -39,6 +40,7 @@ from ranksmooth.smoothap import (
     batch_ap_error,
     batch_operating_region,
     operating_region_halfwidth,
+    sigmoid_grad,
     smooth_ap_loss,
     smooth_ap_query,
 )
@@ -213,6 +215,36 @@ def test_smooth_ap_loss_matches_per_query_route(batch, tau):
         loss = smooth_ap_loss(batch, cfg, allow_degenerate=True).loss
     aps = [smooth_ap_query(ScoredSet(s, y), cfg) for s, y in per_query_sets(batch)]
     assert abs(loss - float(np.mean(1.0 - np.array(aps)))) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(batches(WIDE_CLASS_SIZES), TAUS)
+def test_smooth_ap_loss_score_grad_equals_full_matrix_gradient(batch, tau):
+    """Each valid query's row of score_grad is -1/Q times the dense
+    gradient of its smoothed AP; the self entries and the rows of skipped
+    queries are zero. The tolerance is relative to the largest term the
+    gradient sums, sigmoid_grad(D[i, j]) / (Q |P|) for a positive i and
+    j != i: a gradient that cancels to zero still carries their rounding."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        score_grad = smooth_ap_loss(batch, SmoothApConfig(tau), allow_degenerate=True).score_grad
+    m = len(batch)
+    same = batch.class_ids[:, None] == batch.class_ids[None, :]
+    valid = same.sum(axis=1) > 1
+    expected = np.zeros((m, m))
+    scale = 0.0
+    for k in np.flatnonzero(valid):
+        keep = np.arange(m) != k
+        scores, labels = batch.vectors[keep] @ batch.vectors[k], same[k, keep]
+        expected[k, keep] = full_matrix_smooth_ap_grad(scores, labels, tau)
+        terms = sigmoid_grad(scores[None, :] - scores[labels, None], tau)
+        terms[np.arange(labels.sum()), np.flatnonzero(labels)] = 0.0  # self terms
+        scale = max(scale, terms.max() / labels.sum())
+    expected /= -valid.sum()
+    scale /= valid.sum()
+    assert np.abs(score_grad - expected).max() <= 1e-12 * max(scale, np.abs(expected).max())
+    assert not np.diagonal(score_grad).any()
+    assert not score_grad[~valid].any()
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -218,8 +218,8 @@ class TestSmoothApLoss:
         assert np.isfinite(out.loss)
 
     def test_quadratic_batch_cost_in_rows(self):
-        # Cost model sanity: the pair-row construction is m * (per_class-1)
-        # rows of m columns. Just check values stay finite as m grows.
+        # Cost model sanity: each query forms a (per_class-1, m-1) block of
+        # differences. Just check values stay finite as m grows.
         rng = np.random.default_rng(12)
         for classes in [2, 8, 16]:
             batch = random_batch(rng, classes, 4, 8)
