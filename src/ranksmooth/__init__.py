@@ -52,14 +52,11 @@ from .linalg import NormalizationError
 from .ranking import (
     DegenerateLabelsError,
     DegenerateQueryError,
-    DifferenceMatrix,
     EmbeddingBatch,
     ScoredSet,
-    cosine_scores,
     exact_ap,
     map_and_recall,
     mean_ap,
-    rank_in_set,
     recall_at_k,
 )
 from .smoothap import (
@@ -68,7 +65,6 @@ from .smoothap import (
     ap_approx_error,
     batch_ap_error,
     batch_operating_region,
-    operating_region_fraction,
     operating_region_halfwidth,
     sigmoid,
     sigmoid_grad,

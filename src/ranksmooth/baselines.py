@@ -16,33 +16,25 @@ from .smoothap import LossOutput
 
 __all__ = ["TripletConfig", "triplet_loss", "contrastive_loss", "violating_terms"]
 
-MINING_MODES = ("all-valid", "random-per-anchor")
-
 
 @dataclass(frozen=True)
 class TripletConfig:
-    """Hinge margin and triple-selection mode for the triplet loss."""
+    """Hinge margin of the triplet loss."""
 
     margin: float = 0.1
-    mining: str = "all-valid"
 
     def __post_init__(self):
         if self.margin < 0:
             raise ValueError(f"margin must be nonnegative, got {self.margin}")
-        if self.mining not in MINING_MODES:
-            raise ValueError(f"mining must be one of {MINING_MODES}, got {self.mining!r}")
 
 
-def triplet_loss(batch, cfg, rng=None, allow_degenerate=False):
+def triplet_loss(batch, cfg, allow_degenerate=False):
     """Margin hinge loss over (anchor, positive, negative) triples.
 
     Scores are cosine similarities to the anchor; each triple contributes
-    max(s_neg - s_pos + margin, 0). Under all-valid mining the mean runs
-    over every valid triple in the batch; random-per-anchor draws one
-    positive and one negative per anchor from rng.
+    max(s_neg - s_pos + margin, 0), and the mean runs over every valid
+    triple in the batch.
     """
-    if cfg.mining == "random-per-anchor" and rng is None:
-        raise ValueError("random-per-anchor mining requires an rng")
     unit, norms = normalize_rows(batch.vectors)
     m = len(batch)
     sims = unit @ unit.T
@@ -52,37 +44,24 @@ def triplet_loss(batch, cfg, rng=None, allow_degenerate=False):
     same = batch.class_ids[None, :] == batch.class_ids[:, None]
     negatives = ~same
     np.fill_diagonal(same, False)
+    # Anchors with |P| positives all have m - 1 - |P| negatives, so the
+    # anchors of one class size form one dense (anchors, |P|, |N|) hinge
+    # block, each anchor's columns in ascending order.
+    num_pos = same.sum(axis=1)
+    count = int((num_pos * (m - 1 - num_pos))[usable].sum())
     score_grad = np.zeros((m, m))
     total = 0.0
-    count = 0
-
-    if cfg.mining == "all-valid":
-        # Anchors with |P| positives all have m - 1 - |P| negatives, so the
-        # anchors of one class size form one dense (anchors, |P|, |N|)
-        # hinge block, each anchor's columns in ascending order.
-        num_pos = same.sum(axis=1)
-        count = int((num_pos * (m - 1 - num_pos))[usable].sum())
-        for size in np.unique(num_pos[usable]):
-            anchors = np.flatnonzero(usable & (num_pos == size))
-            pos = np.nonzero(same[anchors])[1].reshape(anchors.size, size)
-            neg = np.nonzero(negatives[anchors])[1].reshape(anchors.size, -1)
-            s_pos = np.take_along_axis(sims[anchors], pos, axis=1)
-            s_neg = np.take_along_axis(sims[anchors], neg, axis=1)
-            hinge = s_neg[:, None, :] - s_pos[:, :, None] + cfg.margin
-            active = hinge > 0
-            total += np.sum(hinge, where=active)  # logged only, never differentiated
-            score_grad[anchors[:, None], pos] -= active.sum(axis=2)
-            score_grad[anchors[:, None], neg] += active.sum(axis=1)
-    else:
-        for a in np.flatnonzero(usable):
-            p = int(rng.choice(np.flatnonzero(same[a])))
-            n = int(rng.choice(np.flatnonzero(negatives[a])))
-            hinge = sims[a, n] - sims[a, p] + cfg.margin
-            count += 1
-            if hinge > 0:
-                total += hinge
-                score_grad[a, p] -= 1.0
-                score_grad[a, n] += 1.0
+    for size in np.unique(num_pos[usable]):
+        anchors = np.flatnonzero(usable & (num_pos == size))
+        pos = np.nonzero(same[anchors])[1].reshape(anchors.size, size)
+        neg = np.nonzero(negatives[anchors])[1].reshape(anchors.size, -1)
+        s_pos = np.take_along_axis(sims[anchors], pos, axis=1)
+        s_neg = np.take_along_axis(sims[anchors], neg, axis=1)
+        hinge = s_neg[:, None, :] - s_pos[:, :, None] + cfg.margin
+        active = hinge > 0
+        total += np.maximum(hinge, 0.0).sum()  # logged only, never differentiated
+        score_grad[anchors[:, None], pos] -= active.sum(axis=2)
+        score_grad[anchors[:, None], neg] += active.sum(axis=1)
     total /= count
     score_grad /= count
 

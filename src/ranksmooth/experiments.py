@@ -351,20 +351,12 @@ def grad_check(
     the encoder, w.r.t. the parameters. The relative error is the max
     absolute gap scaled by the larger gradient magnitude.
     """
-    if loss not in LOSS_KINDS:
-        raise ValueError(f"loss must be one of {LOSS_KINDS}, got {loss!r}")
+    loss_output = partial(_loss_for, TrainConfig(loss=loss, tau=tau))
     rng = np.random.default_rng(seed)
     per_class = 4
     if m % per_class != 0:
         raise ValueError(f"m={m} must be a multiple of {per_class}")
     class_ids = np.repeat(np.arange(m // per_class), per_class)
-
-    def loss_output(batch):
-        if loss == "smooth-ap":
-            return smooth_ap_loss(batch, SmoothApConfig(tau))
-        if loss == "triplet":
-            return triplet_loss(batch, TripletConfig())
-        return contrastive_loss(batch)
 
     # Embedding-level check.
     x = rng.normal(size=(m, d))

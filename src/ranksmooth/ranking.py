@@ -21,12 +21,9 @@ from .linalg import normalize_rows
 
 __all__ = [
     "ScoredSet",
-    "DifferenceMatrix",
     "EmbeddingBatch",
     "DegenerateLabelsError",
     "DegenerateQueryError",
-    "cosine_scores",
-    "rank_in_set",
     "exact_ap",
     "mean_ap",
     "recall_at_k",
@@ -84,42 +81,6 @@ class ScoredSet:
     def __len__(self):
         return self.scores.shape[0]
 
-    @property
-    def num_positive(self):
-        return int(np.count_nonzero(self.labels))
-
-    @property
-    def num_negative(self):
-        return len(self) - self.num_positive
-
-
-@dataclass(frozen=True)
-class DifferenceMatrix:
-    """Pairwise score differences: values[i, j] = scores[j] - scores[i].
-
-    Antisymmetric with an exactly zero diagonal; ranks are one plus the
-    count of positive entries per row.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("difference matrix must be square")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_scores(cls, scores):
-        s = np.asarray(scores, dtype=np.float64)
-        if s.ndim != 1:
-            raise ValueError("scores must be 1-D")
-        return cls(s[None, :] - s[:, None])
-
-    @property
-    def size(self):
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class EmbeddingBatch:
@@ -161,41 +122,11 @@ class EmbeddingBatch:
         return self.vectors.shape[1]
 
 
-def cosine_scores(query_row, batch):
-    """Relevance scores of every batch row against one query row.
-
-    Rows are unit vectors, so the dot product is the cosine similarity.
-    The self entry is included; callers mask it out as needed.
-    """
-    m = len(batch)
-    if not 0 <= query_row < m:
-        raise IndexError(f"query row {query_row} out of range for batch of {m}")
-    return batch.vectors @ batch.vectors[query_row]
-
-
 def _descending_order(scores):
     """Positions of scores from highest to lowest along the last axis, ties
     to the lower position: the one ranking every exact metric here is read
     from."""
     return np.argsort(-scores, axis=-1, kind="stable")
-
-
-def rank_in_set(i, subset_mask, scored):
-    """1-based rank of instance i within the subset, under descending score.
-
-    Counts one plus the members of the subset ranked ahead of i, with
-    index-order tie-breaking. i itself need not belong to the subset.
-    """
-    scores = scored.scores
-    m = scores.shape[0]
-    if not 0 <= i < m:
-        raise IndexError(f"instance {i} out of range for set of {m}")
-    mask = np.asarray(subset_mask, dtype=bool)
-    if mask.shape != (m,):
-        raise ValueError("subset mask length must match the scored set")
-    order = _descending_order(scores)
-    ahead = order[: np.flatnonzero(order == i)[0]]
-    return int(1 + np.count_nonzero(mask[ahead]))
 
 
 def exact_ap(scored):

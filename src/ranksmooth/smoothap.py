@@ -13,16 +13,16 @@ Self-comparison terms are excluded from both the positive and negative
 sums: counting the sigmoid of a zero difference would bias every smoothed
 rank by 0.5.
 
-The loss and the batch AP error run on the query blocks of
-ranking._query_blocks (queries that share a positive count), and every
-sigmoid and its derivative come from one stable evaluator, _sigmoid_parts.
-The loss lays a block out [row, positive, column] and takes its backward
-pass in the same block; the AP error and smooth_ap_query lay it out
-[row, column, positive].
+The loss, the batch AP error and smooth_ap_query share one forward pass,
+_smooth_ap_block, over the query blocks of ranking._query_blocks (queries
+that share a positive count): a [row, positive, column] block of sigmoids
+and their derivatives from one stable evaluator, _sigmoid_parts. The loss
+takes its backward pass in the same block. The operating region's
+half-width is in closed form.
 """
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .linalg import normalize_rows, similarity_backward
 from .ranking import (
     _BLOCK_ELEMENTS,
     DegenerateLabelsError,
-    DifferenceMatrix,
     _query_blocks,
     _ranked_ap,
     exact_ap,
@@ -46,7 +45,6 @@ __all__ = [
     "smooth_ap_loss",
     "ap_approx_error",
     "batch_ap_error",
-    "operating_region_fraction",
     "batch_operating_region",
     "operating_region_halfwidth",
 ]
@@ -145,27 +143,29 @@ def smooth_ap_query(scored, cfg):
     """
     if not scored.labels.any():
         raise DegenerateLabelsError("cannot compute smoothed AP with no positive labels")
-    return float(_smooth_ap_rows(scored.scores[None], scored.labels[None], cfg.tau)[0])
+    numer, denom = _smooth_ap_block(scored.scores[None], scored.labels[None], cfg.tau)[:2]
+    return float(np.mean(numer / denom))
 
 
-def _smooth_ap_rows(scores, labels, tau):
-    """Smoothed AP of each row of (rows, n) scores and labels whose rows all
-    hold the same number (at least one) of positives.
+def _smooth_ap_block(scores, labels, tau):
+    """The smoothed-AP forward pass of (rows, n) scores and labels whose
+    rows all hold the same number (at least one) of positives.
 
-    Differences are laid out [row, column, positive] and summed over the
-    column axis, which NumPy reduces in the same order for any number of
-    rows: left to right in index order for several positives, pairwise
-    for one.
+    Each row's differences are one (|P|, n) block scores[j] - scores[i]
+    for its positives i, column axis innermost. Returns numer and denom,
+    the (rows, |P|) smoothed ranks within the positives and overall (the
+    row's smoothed AP is mean(numer / denom) over its positives), the
+    (rows, |P|, n) sigmoids g and derivatives gprime with the j = i self
+    terms zeroed, and pos_at, the (rows, |P|) positive columns.
     """
-    rows, n = scores.shape
-    pos = scores[labels].reshape(rows, -1)
-    neg = scores[~labels].reshape(rows, n - pos.shape[1])
-    g = sigmoid(pos[:, :, None] - pos[:, None, :], tau)
-    diag = np.arange(pos.shape[1])
-    g[:, diag, diag] = 0.0  # the j = i self term
-    numer = 1.0 + g.sum(axis=1)
-    denom = numer + sigmoid(neg[:, :, None] - pos[:, None, :], tau).sum(axis=1)
-    return np.mean(numer / denom, axis=1)
+    rows = np.arange(len(scores))[:, None]
+    pos_at = np.nonzero(labels)[1].reshape(len(scores), -1)
+    pos = np.arange(pos_at.shape[1])
+    g, gprime = _sigmoid_parts(scores[:, None, :] - scores[rows, pos_at][:, :, None], tau)
+    g[rows, pos, pos_at] = gprime[rows, pos, pos_at] = 0.0  # the j = i self term
+    numer = 1.0 + g[rows[:, :, None], pos[:, None], pos_at[:, None, :]].sum(axis=2)
+    denom = 1.0 + g.sum(axis=2)
+    return numer, denom, g, gprime, pos_at
 
 
 def smooth_ap_loss(batch, cfg, allow_degenerate=False):
@@ -174,8 +174,8 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
     Every batch row queries all the others. Cost is O(m^2) per query row
     restricted to its positives, i.e. O(m^2 * per-class count) overall for
     class-balanced batches. Queries that share a positive count form
-    (rows, |P|, m - 1) blocks of differences, column axis innermost, and
-    the backward pass runs in the same blocks.
+    (rows, |P|, m - 1) blocks of differences (_smooth_ap_block), and the
+    backward pass runs in the same blocks.
     """
     m = len(batch)
     unit, norms = normalize_rows(batch.vectors)
@@ -187,22 +187,16 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
     cols = np.arange(m - 1)
     blocks = _query_blocks(sims, batch.class_ids, valid, lambda p: p * (m - 1), _LOSS_BLOCK_ELEMENTS)
     for at, scores, labels in blocks:
-        rows = np.arange(at.size)[:, None]
-        pos_at = np.nonzero(labels)[1].reshape(at.size, -1)  # positive columns
-        pos = np.arange(pos_at.shape[1])
-        g, gprime = _sigmoid_parts(scores[:, None, :] - scores[rows, pos_at][:, :, None], cfg.tau)
-        g[rows, pos, pos_at] = gprime[rows, pos, pos_at] = 0.0  # the j = i self term
-        pos_cols = rows[:, :, None], pos[:, None], pos_at[:, None, :]  # [r, i, positive k]
-        numer = 1.0 + g[pos_cols].sum(axis=2)
-        denom = 1.0 + g.sum(axis=2)
+        numer, denom, g, gprime, pos_at = _smooth_ap_block(scores, labels, cfg.tau)
         ap[at] = np.mean(numer / denom, axis=1)
 
         # d loss / d G[r, i, j] is numer c on every column and -denom c more
         # on the positive columns, with c = 1 / (Q |P| denom^2) folding in
         # d loss / d AP = -1/Q and each query's mean over its positives.
+        rows, pos = np.arange(at.size)[:, None], np.arange(pos_at.shape[1])
         c = 1.0 / (queries.size * pos.size * denom**2)
         neg_w, pos_w = numer * c, -denom * c
-        gprime_pos = gprime[pos_cols]
+        gprime_pos = gprime[rows[:, :, None], pos[:, None], pos_at[:, None, :]]
         col_grad = (neg_w[:, None, :] @ gprime)[:, 0]
         # diff[r, i, j] = s[j] - s[pos_at[i]]: column j gains, positive i
         # loses its row sum.
@@ -230,16 +224,9 @@ def batch_ap_error(batch, cfg, allow_degenerate=False):
     m = len(batch)
     sims = batch.vectors @ batch.vectors.T
     for at, scores, labels in _query_blocks(sims, batch.class_ids, valid, lambda p: p * (m - 1)):
-        exact = _ranked_ap(scores, labels)[1]
-        errors[at] = np.abs(_smooth_ap_rows(scores, labels, cfg.tau) - exact)
+        numer, denom = _smooth_ap_block(scores, labels, cfg.tau)[:2]
+        errors[at] = np.abs(np.mean(numer / denom, axis=1) - _ranked_ap(scores, labels)[1])
     return float(np.mean(errors))
-
-
-def operating_region_fraction(d, cfg):
-    """Fraction of difference-matrix entries whose sigmoid derivative
-    exceeds the threshold, diagonal included."""
-    values = d.values if isinstance(d, DifferenceMatrix) else np.asarray(d, dtype=np.float64)
-    return float(np.mean(sigmoid_grad(values, cfg.tau) > cfg.grad_threshold))
 
 
 def batch_operating_region(batch, cfg):
@@ -251,8 +238,7 @@ def batch_operating_region(batch, cfg):
 
     Uses the equivalence |dG/dD| > threshold  <=>  |D| < halfwidth (the
     sigmoid derivative is strictly decreasing in |D|), counting close
-    pairs on sorted scores instead of materializing every m x m matrix;
-    agrees with operating_region_fraction per query.
+    pairs on sorted scores instead of materializing every m x m matrix.
     """
     halfwidth = operating_region_halfwidth(cfg)
     if halfwidth == 0.0:
@@ -289,26 +275,18 @@ def _count_below(rows, thresholds, before_ties):
     return is_threshold @ np.arange(2 * m) - m * (m - 1) // 2
 
 
-@lru_cache
-def operating_region_halfwidth(cfg, max_iter=200):
+def operating_region_halfwidth(cfg):
     """Half-width of the score-difference interval with non-negligible
-    gradient, found by bisection on sigmoid_grad(x) = grad_threshold.
+    gradient: the x > 0 where sigmoid_grad(x) equals grad_threshold.
 
     Returns 0.0 when even the peak derivative 1/(4 tau) is at or below the
-    threshold (empty region). The config is frozen, so the bisection runs
-    once per config and later calls return the memoized float.
+    threshold (empty region). Otherwise, with theta the threshold,
+    G(1 - G) = tau theta at the edge, so q = 1 - G is the small root
+    2 tau theta / (1 + sqrt(1 - 4 tau theta)), a form without cancellation,
+    and x = tau log((1 - q) / q).
     """
     if sigmoid_grad(0.0, cfg.tau) <= cfg.grad_threshold:
         return 0.0
-    lo, hi = 0.0, cfg.tau
-    while sigmoid_grad(hi, cfg.tau) > cfg.grad_threshold:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket the operating-region edge")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if sigmoid_grad(mid, cfg.tau) > cfg.grad_threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    product = cfg.tau * cfg.grad_threshold
+    q = 2.0 * product / (1.0 + math.sqrt(1.0 - 4.0 * product))
+    return cfg.tau * (math.log1p(-q) - math.log(q))

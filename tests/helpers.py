@@ -12,7 +12,8 @@ per anchor instead of one block per class size, with the same
 floating-point operations in the same order, so the library's kernels can
 be held to them with ==. The smoothed-AP score gradient is the exception:
 its dense m x m reference sums in another order, so it is held to a
-tolerance.
+tolerance. So are the operating region's dense per-query fractions and its
+half-width by bisection, which the library reads from a closed form.
 """
 
 import numpy as np
@@ -99,12 +100,15 @@ def pairwise_ap(scores, labels):
 
 def full_matrix_smooth_ap(scores, labels, tau):
     """Smoothed AP from the full m x m sigmoid matrix, self terms zeroed,
-    keeping only the positive rows."""
+    keeping only the positive rows. Each smoothed rank sums a C-ordered
+    row, as the library's blocks do: np.take keeps the positive columns
+    C-ordered, where a boolean column index would return them F-ordered,
+    which sums in another order."""
     g = sigmoid(scores[None, :] - scores[:, None], tau)
     np.fill_diagonal(g, 0.0)
     pos_rows = g[labels]
-    numer = 1.0 + pos_rows[:, labels].sum(axis=1)
-    denom = numer + pos_rows[:, ~labels].sum(axis=1)
+    numer = 1.0 + np.take(pos_rows, np.flatnonzero(labels), axis=1).sum(axis=1)
+    denom = 1.0 + pos_rows.sum(axis=1)
     return float(np.mean(numer / denom))
 
 
@@ -159,6 +163,34 @@ def per_query_map_and_recall(batch, ks):
         for k in ks:
             hits[k] += bool(ranked[:k].any())
     return float(np.mean(aps)), {k: hits[k] / len(aps) for k in ks}
+
+
+def dense_operating_region(batch, cfg):
+    """Mean over queries of the fraction of the query's m x m difference
+    matrix (self included) whose sigmoid derivative exceeds the threshold,
+    one dense matrix per query."""
+    sims = batch.vectors @ batch.vectors.T
+    return float(np.mean([
+        np.mean(sigmoid_grad(row[None, :] - row[:, None], cfg.tau) > cfg.grad_threshold)
+        for row in sims
+    ]))
+
+
+def bisection_halfwidth(tau, threshold, max_iter=200):
+    """Operating-region half-width by bisection on sigmoid_grad(x, tau) =
+    threshold; 0.0 when the peak derivative is at or below the threshold."""
+    if sigmoid_grad(0.0, tau) <= threshold:
+        return 0.0
+    lo, hi = 0.0, tau
+    while sigmoid_grad(hi, tau) > threshold:
+        hi *= 2.0
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if sigmoid_grad(mid, tau) > threshold:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def per_query_operating_region(batch, halfwidth):

@@ -67,21 +67,6 @@ class TestTripletLoss:
         numeric = central_difference(value, batch.vectors, step=1e-6)
         assert max_rel_error(out.embedding_grad, numeric) < 1e-6
 
-    def test_random_mining_deterministic_per_rng(self):
-        rng_batch = np.random.default_rng(2)
-        batch = random_batch(rng_batch, 3, 4, 6)
-        cfg = TripletConfig(margin=0.2, mining="random-per-anchor")
-        a = triplet_loss(batch, cfg, rng=np.random.default_rng(77))
-        b = triplet_loss(batch, cfg, rng=np.random.default_rng(77))
-        assert a.loss == b.loss
-        assert np.array_equal(a.score_grad, b.score_grad)
-
-    def test_random_mining_requires_rng(self):
-        rng = np.random.default_rng(3)
-        batch = random_batch(rng, 2, 3, 4)
-        with pytest.raises(ValueError, match="rng"):
-            triplet_loss(batch, TripletConfig(mining="random-per-anchor"))
-
     def test_degenerate_class_is_error(self):
         batch = EmbeddingBatch(np.eye(3), np.array([0, 0, 4]))
         with pytest.raises(DegenerateQueryError):
@@ -90,8 +75,6 @@ class TestTripletLoss:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TripletConfig(margin=-0.1)
-        with pytest.raises(ValueError):
-            TripletConfig(mining="hardest")
 
 
 class TestContrastiveLoss:

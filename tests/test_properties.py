@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bisection_halfwidth,
     full_matrix_ap_error,
     full_matrix_smooth_ap,
     full_matrix_smooth_ap_grad,
@@ -147,11 +148,15 @@ def test_triplet_loss_equals_per_anchor_loop(batch, margin):
 
 @PROPERTY_SETTINGS
 @given(st.floats(1e-3, 10.0), st.floats(1e-4, 10.0))
-def test_memoized_halfwidth_equals_fresh_bisection(tau, threshold):
-    cfg = SmoothApConfig(tau, threshold)
-    fresh = operating_region_halfwidth.__wrapped__(cfg)
-    assert operating_region_halfwidth(cfg) == fresh
-    assert operating_region_halfwidth(SmoothApConfig(tau, threshold)) == fresh
+def test_closed_form_halfwidth_matches_bisection(tau, threshold):
+    """The region is empty exactly when the bisection reference says so,
+    and the closed form is within 8 ulps of it while 4 tau theta <= 1/2;
+    as 4 tau theta nears 1 the edge is ill-conditioned in tau theta."""
+    got = operating_region_halfwidth(SmoothApConfig(tau, threshold))
+    want = bisection_halfwidth(tau, threshold)
+    assert (got == 0.0) == (want == 0.0)
+    if 4.0 * tau * threshold <= 0.5:
+        assert abs(got - want) <= 8 * np.spacing(want)
 
 
 @PROPERTY_SETTINGS

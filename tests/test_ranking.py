@@ -5,13 +5,10 @@ from helpers import precision_at_hit_ap, nondegenerate_labelings, unit_rows, ran
 from ranksmooth.ranking import (
     DegenerateLabelsError,
     DegenerateQueryError,
-    DifferenceMatrix,
     EmbeddingBatch,
     ScoredSet,
-    cosine_scores,
     exact_ap,
     mean_ap,
-    rank_in_set,
     recall_at_k,
 )
 
@@ -35,31 +32,6 @@ class TestScoredSet:
         with pytest.raises(ValueError, match="score 2 is"):
             ScoredSet([0.3, 0.2, bad, 0.1, bad], [True, False, True, False, True])
 
-    def test_counts(self):
-        ss = ScoredSet([0.3, 0.2, 0.1], [True, False, True])
-        assert ss.num_positive == 2
-        assert ss.num_negative == 1
-
-
-class TestDifferenceMatrix:
-    def test_entries_and_antisymmetry(self):
-        scores = np.array([0.5, 0.2, -0.1])
-        d = DifferenceMatrix.from_scores(scores)
-        assert d.values[0, 1] == pytest.approx(-0.3)
-        assert np.allclose(d.values, -d.values.T)
-        assert np.all(np.diag(d.values) == 0.0)
-
-    def test_antisymmetry_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            d = DifferenceMatrix.from_scores(rng.normal(size=rng.integers(1, 30)))
-            assert np.array_equal(d.values, -d.values.T)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            DifferenceMatrix(np.zeros((2, 3)))
-
-
 class TestEmbeddingBatch:
     def test_norm_enforced(self):
         with pytest.raises(ValueError, match="norm"):
@@ -75,47 +47,6 @@ class TestEmbeddingBatch:
     def test_from_raw_normalizes(self):
         batch = EmbeddingBatch.from_raw(np.array([[3.0, 4.0], [0.0, 2.0]]), [0, 1])
         assert np.allclose(np.linalg.norm(batch.vectors, axis=1), 1.0)
-
-
-class TestCosineScores:
-    def test_identical_orthogonal_opposite(self):
-        batch = EmbeddingBatch(
-            np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.array([0, 1, 2])
-        )
-        scores = cosine_scores(0, batch)
-        assert scores[0] == pytest.approx(1.0)
-        assert scores[1] == pytest.approx(-1.0)
-        assert scores[2] == pytest.approx(0.0)
-
-    def test_index_out_of_range(self):
-        batch = EmbeddingBatch(np.array([[1.0, 0.0]]), np.array([0]))
-        with pytest.raises(IndexError):
-            cosine_scores(1, batch)
-
-
-class TestRankInSet:
-    def test_top_and_bottom(self):
-        ss = ScoredSet([0.9, 0.5, 0.1], [True, False, True])
-        full = np.ones(3, dtype=bool)
-        assert rank_in_set(0, full, ss) == 1
-        assert rank_in_set(2, full, ss) == 3
-
-    def test_rank_within_positive_subset(self):
-        # scores 0.9, 0.8, 0.7, 0.6 with positives at {0, 2}: item 2 is
-        # preceded among positives only by item 0.
-        ss = ScoredSet([0.9, 0.8, 0.7, 0.6], [True, False, True, False])
-        mask = np.array([True, False, True, False])
-        assert rank_in_set(2, mask, ss) == 2
-
-    def test_instance_outside_subset(self):
-        ss = ScoredSet([0.9, 0.8, 0.7], [True, True, False])
-        mask = np.array([True, True, False])
-        assert rank_in_set(2, mask, ss) == 3
-
-    def test_tie_break_by_index(self):
-        ss = ScoredSet([0.5, 0.5, 0.5], [True, True, True])
-        full = np.ones(3, dtype=bool)
-        assert [rank_in_set(i, full, ss) for i in range(3)] == [1, 2, 3]
 
 
 class TestExactAp:
@@ -172,9 +103,6 @@ class TestExactAp:
             base = ScoredSet(scores, labels)
             moved = ScoredSet(transform(scores), labels)
             assert exact_ap(moved) == pytest.approx(exact_ap(base), abs=1e-12)
-            mask = rng.random(m) < 0.6
-            for i in range(m):
-                assert rank_in_set(i, mask, moved) == rank_in_set(i, mask, base)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import central_difference, gapped_scores, max_rel_error, random_batch
+from helpers import (
+    central_difference,
+    dense_operating_region,
+    gapped_scores,
+    max_rel_error,
+    random_batch,
+)
 from ranksmooth.ranking import (
     DegenerateLabelsError,
-    DifferenceMatrix,
     EmbeddingBatch,
     ScoredSet,
     exact_ap,
@@ -14,7 +19,6 @@ from ranksmooth.smoothap import (
     ap_approx_error,
     batch_ap_error,
     batch_operating_region,
-    operating_region_fraction,
     operating_region_halfwidth,
     sigmoid,
     sigmoid_grad,
@@ -250,14 +254,19 @@ class TestApApproxError:
 
 class TestOperatingRegion:
     def test_equal_scores_full_region(self):
-        d = DifferenceMatrix.from_scores(np.full(9, 0.42))
-        assert operating_region_fraction(d, SmoothApConfig(tau=0.01)) == 1.0
-        assert operating_region_fraction(d, SmoothApConfig(tau=10.0)) == 1.0
+        batch = EmbeddingBatch(np.tile([1.0, 0.0], (9, 1)), np.zeros(9, dtype=int))
+        for tau in (0.01, 10.0):
+            cfg = SmoothApConfig(tau=tau)
+            assert batch_operating_region(batch, cfg) == dense_operating_region(batch, cfg) == 1.0
 
     def test_spread_scores_only_diagonal(self):
-        m = 8
-        d = DifferenceMatrix.from_scores(np.arange(m, dtype=float))
-        assert operating_region_fraction(d, SmoothApConfig(tau=0.01)) == pytest.approx(1.0 / m)
+        # At angles 0.3 (2^k - 1) no row is the midpoint of two others, and
+        # each query's scores lie further apart than the half-width, 0.0122.
+        angles = 0.3 * (2.0 ** np.arange(4) - 1.0)
+        vectors = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        batch = EmbeddingBatch(vectors, np.zeros(4, dtype=int))
+        cfg = SmoothApConfig(tau=0.001)
+        assert batch_operating_region(batch, cfg) == dense_operating_region(batch, cfg) == 0.25
 
     def test_halfwidth_root(self):
         cfg = SmoothApConfig(tau=0.01, grad_threshold=0.005)
@@ -274,15 +283,7 @@ class TestOperatingRegion:
         rng = np.random.default_rng(15)
         batch = random_batch(rng, 4, 4, 8)
         cfg = SmoothApConfig(0.01)
-        sims = batch.vectors @ batch.vectors.T
-        expected = float(
-            np.mean(
-                [
-                    operating_region_fraction(DifferenceMatrix.from_scores(row), cfg)
-                    for row in sims
-                ]
-            )
-        )
+        expected = dense_operating_region(batch, cfg)
         assert batch_operating_region(batch, cfg) == pytest.approx(expected, abs=1e-12)
 
 
