@@ -3,11 +3,12 @@ ablation grids, and diagnostics, with CSV/SVG outputs.
 
 Every run writes a manifest (command, fully resolved config, seed, git
 describe, environment, timestamps) before any compute starts, so a
-crashed run still leaves a record of the attempt, and rewrites it when
-the run ends with its status ("ok" or "failed") and the error that ended
-it. All CSV outputs are deterministic given identical flags and seed;
-wall-clock timings go to a separate timings.csv sidecar to keep that
-true.
+crashed run still leaves a record of the attempt. The _manifest context
+manager wraps the run and rewrites the file when the run ends, with its
+status ("ok" or "failed"), the error that ended it, and the outputs the
+run listed (none when it failed). All CSV outputs are deterministic
+given identical flags and seed; wall-clock timings go to a separate
+timings.csv sidecar to keep that true.
 
 Each subcommand takes its options and their defaults from the library
 object it calls: gen-data from SyntheticSpec, train and ablate from
@@ -32,7 +33,9 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, astuple, fields, is_dataclass
+from functools import partial
 from inspect import Parameter, signature
 from pathlib import Path
 from types import NoneType
@@ -168,6 +171,8 @@ def _resolve(args, table):
 
 
 def _fmt(value):
+    if value is None:
+        return "nan"
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -220,60 +225,40 @@ def _environment():
     }
 
 
-class Manifest:
+@contextmanager
+def _manifest(path, command, config, seed):
     """Run manifest written before compute and finalized when the run ends.
 
-    Used as a context manager around the run: leaving it stamps
-    finished_at, the status ("ok", or "failed" when an exception left the
-    block) and the error message, and lists `outputs`, which the run sets
-    once its files are written.
+    Wraps the run and yields the list of its outputs, which the run fills
+    as it writes its files. Leaving the block stamps finished_at and the
+    status: "ok" with the outputs, or "failed" with the error message when
+    an exception left the block (the outputs then stay empty).
     """
+    stamp = partial(time.strftime, "%Y-%m-%dT%H:%M:%S%z")
+    body = dict(command=command, config=config, seed=seed, git_describe=_git_describe(),
+                environment=_environment(), started_at=stamp(), finished_at=None,
+                status="running", error=None, outputs=[])
 
-    def __init__(self, path, command, config, seed):
-        self.path = Path(path)
-        self.outputs = []
-        self.body = {
-            "command": command,
-            "config": config,
-            "seed": seed,
-            "git_describe": _git_describe(),
-            "environment": _environment(),
-            "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "finished_at": None,
-            "status": "running",
-            "error": None,
-            "outputs": [],
-        }
-        self._write()
+    def write():
+        Path(path).write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8", newline="\n")
 
-    def _write(self):
-        with open(self.path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.body, fh, indent=2)
-            fh.write("\n")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, traceback):
-        self.body["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        self.body["status"] = "ok" if exc is None else "failed"
-        self.body["error"] = None if exc is None else str(exc) or exc_type.__name__
-        self.body["outputs"] = [str(p) for p in self.outputs]
-        self._write()
+    write()
+    outputs = []
+    try:
+        yield outputs
+        body.update(status="ok", outputs=[str(p) for p in outputs])
+    except BaseException as exc:
+        body.update(status="failed", error=str(exc) or type(exc).__name__)
+        raise
+    finally:
+        body["finished_at"] = stamp()
+        write()
 
 
 def _out_dir(path):
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_metric_plots(out, records, outputs):
-    steps = [r.step for r in records]
-    for name in ("train_loss", "test_map", "ap_error"):
-        path = out / f"plot_{name}.svg"
-        line_chart(path, steps, {name: [getattr(r, name) for r in records]}, name, "step", name)
-        outputs.append(path)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +268,12 @@ def _write_metric_plots(out, records, outputs):
 def cmd_gen_data(args, params, seed):
     out = Path(args.output)
     config = dict(_spelled(params), seed=seed)
-    with Manifest(str(out) + ".manifest.json", "gen-data", config, seed) as manifest:
+    with _manifest(str(out) + ".manifest.json", "gen-data", config, seed) as outputs:
         # signal_dim 0 asks for fully isotropic means (None in the library).
         spec = SyntheticSpec(**dict(params, signal_dim=params["signal_dim"] or None))
         ds = build_dataset(spec, seed)
         save_features_csv(out, ds)
-        manifest.outputs = [out]
+        outputs.append(out)
     print(f"wrote {len(ds)} rows to {out}")
     return 0
 
@@ -296,19 +281,20 @@ def cmd_gen_data(args, params, seed):
 def cmd_train(args, params, seed):
     cfg = TrainConfig(**params, seed=seed, data=CsvSpec(path=str(args.data)))
     out = _out_dir(args.output)
-    with Manifest(out / "manifest.json", "train", asdict(cfg), seed) as manifest:
+    with _manifest(out / "manifest.json", "train", asdict(cfg), seed) as outputs:
         result = train(cfg)
-        outputs = [out / "metrics.csv", out / "timings.csv", out / "encoder.bin"]
-        _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(r) for r in result.records])
-        _write_csv(
-            out / "timings.csv",
-            ("step", "wall_ms"),
-            [[r.step, r.wall_ms] for r in result.records],
-        )
+        records = result.records
+        _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(r) for r in records])
+        _write_csv(out / "timings.csv", ("step", "wall_ms"), [[r.step, r.wall_ms] for r in records])
         save_encoder(out / "encoder.bin", result.params)
+        outputs += [out / "metrics.csv", out / "timings.csv", out / "encoder.bin"]
         if args.plot:
-            _write_metric_plots(out, result.records, outputs)
-        manifest.outputs = outputs
+            steps = [r.step for r in records]
+            for name in ("train_loss", "test_map", "ap_error"):
+                path = out / f"plot_{name}.svg"
+                line_chart(path, steps, {name: [getattr(r, name) for r in records]},
+                           name, "step", name)
+                outputs.append(path)
     final = result.final
     print(f"final step {final.step}: test mAP {final.test_map:.4f}, loss {final.train_loss:.4f}")
     return 0
@@ -322,7 +308,7 @@ def cmd_eval(args, params, seed):
         **params,
         "seed": seed,
     }
-    with Manifest(out / "manifest.json", "eval", config, seed) as manifest:
+    with _manifest(out / "manifest.json", "eval", config, seed) as outputs:
         ds = load_features_csv(args.data)
         if args.checkpoint:
             encoder = load_encoder(args.checkpoint)
@@ -333,7 +319,7 @@ def cmd_eval(args, params, seed):
         loss = smooth_ap_loss(batch, diag).loss
         record = measure(0, loss, batch, encoder, ds, diag, time.perf_counter())
         _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(record)])
-        manifest.outputs = [out / "metrics.csv"]
+        outputs.append(out / "metrics.csv")
     print(f"mAP {record.test_map:.4f}, recall@1 {record.recall_at_1:.4f} over {len(ds)} instances")
     return 0
 
@@ -346,10 +332,10 @@ def cmd_ablate(args, params, seed):
     cfg = TrainConfig(**params, seed=seed, data=CsvSpec(path=str(args.data)))
     out = _out_dir(args.output)
     config = {"base": asdict(cfg), "param": args.param, "values": values}
-    with Manifest(out / "manifest.json", "ablate", config, seed) as manifest:
+    with _manifest(out / "manifest.json", "ablate", config, seed) as outputs:
         rows = [[value] + _metric_row(final) for value, final, _ in ablate(cfg, name, values)]
         _write_csv(out / "summary.csv", (args.param,) + METRIC_COLUMNS, rows)
-        manifest.outputs = [out / "summary.csv"]
+        outputs.append(out / "summary.csv")
     for row in rows:
         print(f"{args.param}={row[0]}: test mAP {row[3]:.4f}")
     return 0
@@ -363,14 +349,10 @@ def cmd_grad_check(args, params, seed):
         f"-> {'PASS' if report.passed else 'FAIL'}"
     )
     if args.output:
-        out = _out_dir(args.output)
         _write_csv(
-            out / "grad_check.csv",
-            ("loss", "tau", "fd_step", "tolerance", "max_rel_error_embedding",
-             "max_rel_error_params", "passed"),
-            [[report.loss, report.tau if report.tau is not None else float("nan"),
-              report.fd_step, report.tolerance, report.max_rel_error_embedding,
-              report.max_rel_error_params, int(report.passed)]],
+            _out_dir(args.output) / "grad_check.csv",
+            [f.name for f in fields(report)] + ["passed"],
+            [[*astuple(report), report.passed]],
         )
     return 0 if report.passed else 1
 
@@ -379,11 +361,11 @@ def cmd_approx_error(args, params, seed):
     out = _out_dir(args.output)
     config = dict(_spelled(params), data=str(args.data), seed=seed)
     taus = params["taus"]
-    with Manifest(out / "manifest.json", "approx-error", config, seed) as manifest:
+    with _manifest(out / "manifest.json", "approx-error", config, seed) as outputs:
         sweep = approx_error_sweep(load_features_csv(args.data), **params, seed=seed)
         rows = [[tau, step, err] for tau in taus for step, err in enumerate(sweep[tau])]
         _write_csv(out / "approx_error.csv", ("tau", "step", "ap_error"), rows)
-        outputs = [out / "approx_error.csv"]
+        outputs.append(out / "approx_error.csv")
         if args.plot:
             path = out / "plot_approx_error.svg"
             line_chart(
@@ -395,7 +377,6 @@ def cmd_approx_error(args, params, seed):
                 "ap_error",
             )
             outputs.append(path)
-        manifest.outputs = outputs
     for tau in taus:
         print(f"tau={tau:g}: mean ap_error {float(np.mean(sweep[tau])):.5f}")
     return 0
@@ -405,17 +386,16 @@ def cmd_region_sweep(args, params, seed):
     out = _out_dir(args.output)
     config = dict(_spelled(params), data=str(args.data), seed=seed)
     sizes = params["batch_sizes"]
-    with Manifest(out / "manifest.json", "region-sweep", config, seed) as manifest:
+    with _manifest(out / "manifest.json", "region-sweep", config, seed) as outputs:
         sweep = operating_region_sweep(load_features_csv(args.data), **params, seed=seed)
         rows = [[b, sweep[b]] for b in sizes]
         _write_csv(out / "region_sweep.csv", ("batch_size", "mean_operating_region"), rows)
-        outputs = [out / "region_sweep.csv"]
+        outputs.append(out / "region_sweep.csv")
         if args.plot:
             path = out / "plot_region_sweep.svg"
             line_chart(path, sizes, {"P": [sweep[b] for b in sizes]},
                        "Operating-region fraction vs batch size", "batch size", "P")
             outputs.append(path)
-        manifest.outputs = outputs
     for b in sizes:
         print(f"B={b}: mean P {sweep[b]:.4f}")
     return 0

@@ -5,6 +5,9 @@ normalization; an optional tanh hidden layer sits behind the hidden_dim
 flag. Backward passes are hand-written chain rule (the normalization
 Jacobian annihilates each row's radial direction), and the optimizer is a
 pure-function Adam with classical L2 weight decay added into the gradient.
+Its learning rate and weight decay live on AdamState; the moment decays
+(beta1 0.9, beta2 0.999) and the denominator's eps (1e-8) are the fixed
+module constants _BETA1, _BETA2 and _EPS.
 
 Checkpoint format (bit-exact)
 -----------------------------
@@ -19,11 +22,12 @@ Linear encoder, 16-byte header then float64 little-endian payload:
 
 Hidden-layer encoder: magic b"RSM2", 20-byte header with uint32 LE fields
 d_in, hidden, d_out, flags, then weight_in, weight_out, bias payloads in
-that order.
+that order. param_arrays gives the payload order; each weight matrix
+takes its shape from consecutive header dims.
 """
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,8 +48,7 @@ __all__ = [
     "load_encoder",
 ]
 
-_MAGIC_LINEAR = b"RSM1"
-_MAGIC_HIDDEN = b"RSM2"
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class CheckpointFormatError(ValueError):
@@ -59,34 +62,15 @@ class EncoderParams:
     weight: np.ndarray
     bias: np.ndarray | None = None
 
-    @property
-    def d_in(self):
-        return self.weight.shape[0]
-
-    @property
-    def d_out(self):
-        return self.weight.shape[1]
-
 
 @dataclass(frozen=True)
 class TwoLayerParams:
-    """Optional variant: linear, tanh, linear, then normalization."""
+    """Optional variant: linear, tanh, linear, then normalization.
+    weight_in (d_in, hidden), weight_out (hidden, d_out), optional bias."""
 
     weight_in: np.ndarray
     weight_out: np.ndarray
     bias: np.ndarray | None = None
-
-    @property
-    def d_in(self):
-        return self.weight_in.shape[0]
-
-    @property
-    def hidden(self):
-        return self.weight_in.shape[1]
-
-    @property
-    def d_out(self):
-        return self.weight_out.shape[1]
 
 
 def init_encoder(d_in, d_out, seed, bias=False, hidden_dim=None):
@@ -105,15 +89,15 @@ def init_encoder(d_in, d_out, seed, bias=False, hidden_dim=None):
     )
 
 
+# Checkpoint magic per parameter class.
+_FORMATS = {b"RSM1": EncoderParams, b"RSM2": TwoLayerParams}
+
+
 def param_arrays(params):
-    """Named parameter arrays, in a fixed order."""
-    if isinstance(params, EncoderParams):
-        out = {"weight": params.weight}
-    else:
-        out = {"weight_in": params.weight_in, "weight_out": params.weight_out}
-    if params.bias is not None:
-        out["bias"] = params.bias
-    return out
+    """Named parameter arrays in field order (weights, then bias), leaving
+    out an absent bias. This order is the checkpoint payload order."""
+    arrays = {f.name: getattr(params, f.name) for f in fields(params)}
+    return {name: array for name, array in arrays.items() if array is not None}
 
 
 def _forward(features, params):
@@ -162,29 +146,24 @@ def encode_backward(features, params, upstream_grad):
 
 @dataclass(frozen=True)
 class AdamState:
-    """Optimizer moments and hyperparameters; advanced functionally."""
+    """Optimizer moments, learning rate and weight decay; advanced
+    functionally."""
 
     moment1: dict
     moment2: dict
     step_count: int
     lr: float = 1e-5
     weight_decay: float = 4e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def initial(cls, params, lr=1e-5, weight_decay=4e-5, beta1=0.9, beta2=0.999, eps=1e-8):
+    def initial(cls, params, **hyper):
+        """Zero moments for params; hyper sets lr and weight_decay."""
         arrays = param_arrays(params)
         return cls(
             moment1={k: np.zeros_like(v) for k, v in arrays.items()},
             moment2={k: np.zeros_like(v) for k, v in arrays.items()},
             step_count=0,
-            lr=lr,
-            weight_decay=weight_decay,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
+            **hyper,
         )
 
 
@@ -198,8 +177,8 @@ def adam_step(params, grads, state):
     if set(grads) != set(arrays):
         raise ValueError(f"gradient keys {sorted(grads)} do not match params {sorted(arrays)}")
     t = state.step_count + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     new_arrays, new_m1, new_m2 = {}, {}, {}
     for name in arrays:
         p = arrays[name]
@@ -208,45 +187,27 @@ def adam_step(params, grads, state):
             raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
         if state.weight_decay:
             g = g + state.weight_decay * p
-        m1 = state.beta1 * state.moment1[name] + (1.0 - state.beta1) * g
-        m2 = state.beta2 * state.moment2[name] + (1.0 - state.beta2) * (g * g)
-        update = (m1 / bc1) / (np.sqrt(m2 / bc2) + state.eps)
+        m1 = _BETA1 * state.moment1[name] + (1.0 - _BETA1) * g
+        m2 = _BETA2 * state.moment2[name] + (1.0 - _BETA2) * (g * g)
+        update = (m1 / bc1) / (np.sqrt(m2 / bc2) + _EPS)
         new_arrays[name] = p - state.lr * update
         new_m1[name] = m1
         new_m2[name] = m2
     new_state = replace(state, moment1=new_m1, moment2=new_m2, step_count=t)
-    if isinstance(params, EncoderParams):
-        new_params = EncoderParams(weight=new_arrays["weight"], bias=new_arrays.get("bias"))
-    else:
-        new_params = TwoLayerParams(
-            weight_in=new_arrays["weight_in"],
-            weight_out=new_arrays["weight_out"],
-            bias=new_arrays.get("bias"),
-        )
-    return new_params, new_state
-
-
-def _le64(arr):
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return replace(params, **new_arrays), new_state
 
 
 def save_encoder(path, params):
     """Write params in the documented little-endian binary layout."""
+    arrays = param_arrays(params)
+    weights = [array for name, array in arrays.items() if name != "bias"]
+    dims = [weights[0].shape[0]] + [w.shape[1] for w in weights]
+    magic = next(magic for magic, cls in _FORMATS.items() if isinstance(params, cls))
     flags = 1 if params.bias is not None else 0
     with open(path, "wb") as fh:
-        if isinstance(params, EncoderParams):
-            fh.write(struct.pack("<4sIII", _MAGIC_LINEAR, params.d_in, params.d_out, flags))
-            fh.write(_le64(params.weight))
-        else:
-            fh.write(
-                struct.pack(
-                    "<4sIIII", _MAGIC_HIDDEN, params.d_in, params.hidden, params.d_out, flags
-                )
-            )
-            fh.write(_le64(params.weight_in))
-            fh.write(_le64(params.weight_out))
-        if params.bias is not None:
-            fh.write(_le64(params.bias))
+        fh.write(magic + struct.pack(f"<{len(dims) + 1}I", *dims, flags))
+        for array in arrays.values():
+            fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
 
 
 def _read_doubles(fh, count, what):
@@ -260,25 +221,20 @@ def load_encoder(path):
     """Read a checkpoint written by save_encoder."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-        if magic == _MAGIC_LINEAR:
-            header = fh.read(12)
-            if len(header) != 12:
-                raise CheckpointFormatError("truncated header")
-            d_in, d_out, flags = struct.unpack("<III", header)
-            weight = _read_doubles(fh, d_in * d_out, "weight").reshape(d_in, d_out)
-            bias = _read_doubles(fh, d_out, "bias") if flags & 1 else None
-            params = EncoderParams(weight=weight, bias=bias)
-        elif magic == _MAGIC_HIDDEN:
-            header = fh.read(16)
-            if len(header) != 16:
-                raise CheckpointFormatError("truncated header")
-            d_in, hidden, d_out, flags = struct.unpack("<IIII", header)
-            weight_in = _read_doubles(fh, d_in * hidden, "weight_in").reshape(d_in, hidden)
-            weight_out = _read_doubles(fh, hidden * d_out, "weight_out").reshape(hidden, d_out)
-            bias = _read_doubles(fh, d_out, "bias") if flags & 1 else None
-            params = TwoLayerParams(weight_in=weight_in, weight_out=weight_out, bias=bias)
-        else:
+        if magic not in _FORMATS:
             raise CheckpointFormatError(f"bad magic {magic!r}; expected RSM1 or RSM2")
+        cls = _FORMATS[magic]
+        names = [f.name for f in fields(cls) if f.name != "bias"]
+        header = fh.read(4 * (len(names) + 2))
+        if len(header) != 4 * (len(names) + 2):
+            raise CheckpointFormatError("truncated header")
+        *dims, flags = struct.unpack(f"<{len(names) + 2}I", header)
+        arrays = {
+            name: _read_doubles(fh, rows * cols, name).reshape(rows, cols)
+            for name, rows, cols in zip(names, dims, dims[1:])
+        }
+        if flags & 1:
+            arrays["bias"] = _read_doubles(fh, dims[-1], "bias")
         if fh.read(1):
             raise CheckpointFormatError("trailing bytes after checkpoint payload")
-    return params
+    return cls(**arrays)

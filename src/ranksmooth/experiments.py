@@ -62,17 +62,6 @@ __all__ = [
 
 LOSS_KINDS = ("smooth-ap", "triplet", "contrastive")
 
-# Fields measured in [0, 1]; wall_ms is kept out of deterministic output.
-RECORD_METRIC_FIELDS = (
-    "train_loss",
-    "test_map",
-    "recall_at_1",
-    "recall_at_4",
-    "recall_at_16",
-    "ap_error",
-    "operating_region",
-)
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -96,13 +85,12 @@ class CsvSpec:
     """Feature CSV on disk."""
 
     path: str
-    min_per_class: int = 2
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     loss: str = "smooth-ap"
-    tau: float | None = DEFAULT_TAU
+    tau: float = DEFAULT_TAU
     batch_size: int = 64
     per_class: int = 4
     steps: int = 2000
@@ -122,11 +110,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if self.tau is None and self.loss == "smooth-ap":
-            raise ValueError("smooth-ap requires a positive tau")
-        if self.tau is not None and not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        for name in ("batch_size", "per_class", "eval_every", "d_out"):
+        for name in ("eval_every", "d_out"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.hidden_dim is not None and self.hidden_dim < 1:
@@ -135,12 +119,17 @@ class TrainConfig:
             raise ValueError("steps must be nonnegative")
         if self.lr <= 0 or self.weight_decay < 0:
             raise ValueError("lr must be positive and weight_decay nonnegative")
+        # The configs this one feeds check their own fields, so a bad value
+        # fails here and not at the first training step.
+        self.smooth_ap
+        SamplerConfig(self.batch_size, self.per_class, self.seed)
+        TripletConfig(self.triplet_margin)
 
     @property
-    def diagnostics_config(self):
-        """Sigmoid config used for AP-error and operating-region logging."""
-        tau = self.tau if self.tau is not None else DEFAULT_TAU
-        return SmoothApConfig(tau=tau, grad_threshold=self.grad_threshold)
+    def smooth_ap(self):
+        """The smoothed-AP loss's sigmoid config; every loss also logs its
+        AP-error and operating-region diagnostics with it."""
+        return SmoothApConfig(self.tau, self.grad_threshold)
 
 
 @dataclass(frozen=True)
@@ -156,6 +145,12 @@ class ExperimentRecord:
     ap_error: float
     operating_region: float
     wall_ms: float
+
+
+# Fields measured in [0, 1]; wall_ms is kept out of deterministic output.
+RECORD_METRIC_FIELDS = tuple(
+    f.name for f in fields(ExperimentRecord) if f.name not in ("step", "wall_ms")
+)
 
 
 @dataclass(frozen=True)
@@ -189,7 +184,7 @@ class GradCheckReport:
 
 def build_dataset(spec, fallback_seed):
     if isinstance(spec, CsvSpec):
-        return load_features_csv(spec.path, min_per_class=spec.min_per_class)
+        return load_features_csv(spec.path)
     seed = spec.seed if spec.seed is not None else fallback_seed
     return gen_synthetic_clusters(
         spec.num_classes, spec.per_class, spec.dim, spec.noise_sigma, seed,
@@ -199,7 +194,7 @@ def build_dataset(spec, fallback_seed):
 
 def _loss_for(cfg, batch):
     if cfg.loss == "smooth-ap":
-        return smooth_ap_loss(batch, SmoothApConfig(cfg.tau, cfg.grad_threshold))
+        return smooth_ap_loss(batch, cfg.smooth_ap)
     if cfg.loss == "triplet":
         return triplet_loss(batch, TripletConfig(margin=cfg.triplet_margin))
     return contrastive_loss(batch, margin=cfg.contrastive_margin)
@@ -289,7 +284,7 @@ def train(cfg):
     for step, (batch, out, params) in enumerate(steps):
         if step % cfg.eval_every == 0 or step == cfg.steps:
             records.append(
-                measure(step, out.loss, batch, params, test_ds, cfg.diagnostics_config, started)
+                measure(step, out.loss, batch, params, test_ds, cfg.smooth_ap, started)
             )
         if step == cfg.steps:
             break
@@ -302,15 +297,17 @@ _ABLATION_FIELDS = {f.name for f in fields(TrainConfig)}
 def ablate(base_cfg, param, values):
     """One training run per grid value, varying exactly that parameter.
 
+    Every grid config is built, and so checked, before the first run.
     Returns rows of (value, final ExperimentRecord, TrainResult).
     """
     if param not in _ABLATION_FIELDS:
         raise ValueError(f"unknown ablation parameter {param!r}")
     if not values:
         raise ValueError("values must list at least one value")
+    configs = [replace(base_cfg, **{param: value}) for value in values]
     rows = []
-    for value in values:
-        result = train(replace(base_cfg, **{param: value}))
+    for value, cfg in zip(values, configs):
+        result = train(cfg)
         rows.append((value, result.final, result))
     return rows
 
@@ -469,29 +466,29 @@ def operating_region_sweep(dataset, batch_sizes=(32, 64, 128, 256), *, tau=DEFAU
     return out
 
 
-def loss_timing(batch_sizes, *, per_class=4, d_out=16, tau=DEFAULT_TAU, repeats=7,
-                warmup=2, seed=0):
+def loss_timing(batch_sizes, *, repeats=7):
     """Minimum wall time (ms) of the smoothed-AP loss per batch size.
 
-    Uses random unit embeddings with per_class instances per class, warmup
-    evaluations per size, then the minimum of the timed repeats: other
-    processes on the machine only ever add time, so the fastest repeat is
-    the one closest to the loss's own cost. The sizes are timed
-    round-robin within each repeat so a transient system stall lands on
-    every size of that repeat rather than skewing one of them.
+    Uses random 16-dimensional unit embeddings (seed 0) with 4 instances
+    per class, the default tau and two warmup evaluations per size, then
+    the minimum of the timed repeats: other processes on the machine only
+    ever add time, so the fastest repeat is the one closest to the loss's
+    own cost. The sizes are timed round-robin within each repeat so a
+    transient system stall lands on every size of that repeat rather than
+    skewing one of them.
     """
-    cfg = SmoothApConfig(tau)
-    rng = np.random.default_rng(seed)
+    cfg, per_class = SmoothApConfig(), 4
+    rng = np.random.default_rng(0)
     batches = {}
     for m in batch_sizes:
         if m < 2 or m % per_class != 0:
             raise ValueError(f"batch size {m} must be a multiple of per_class {per_class}")
-        x = rng.normal(size=(m, d_out))
+        x = rng.normal(size=(m, 16))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         batches[m] = EmbeddingBatch(x, np.repeat(np.arange(m // per_class), per_class))
     times = {m: [] for m in batch_sizes}
     for m in batch_sizes:
-        for _ in range(warmup):
+        for _ in range(2):
             smooth_ap_loss(batches[m], cfg)
     for _ in range(repeats):
         for m in batch_sizes:

@@ -1,3 +1,6 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
@@ -152,7 +155,7 @@ class TestAdam:
         params = init_encoder(5, 2, seed=1)
         g = rng.normal(size=(5, 2))
         lr, eps = 1e-3, 1e-8
-        state = AdamState.initial(params, lr=lr, weight_decay=0.0, eps=eps)
+        state = AdamState.initial(params, lr=lr, weight_decay=0.0)
         new_params, _ = adam_step(params, {"weight": g}, state)
         want = params.weight - lr * g / (np.abs(g) + eps)
         assert np.allclose(new_params.weight, want, atol=1e-15)
@@ -237,6 +240,36 @@ class TestCheckpoint:
         assert int.from_bytes(raw[8:12], "little") == 3
         assert int.from_bytes(raw[12:16], "little") == 0
         assert len(raw) == 16 + 2 * 3 * 8
+
+    @pytest.mark.parametrize("hidden_dim", [None, 4])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_bytes_match_documented_layout(self, tmp_path, hidden_dim, bias):
+        # Pins the layout itself: a round trip would still pass if save and
+        # load changed it in the same way.
+        params = init_encoder(5, 3, seed=11, bias=bias, hidden_dim=hidden_dim)
+        if bias:
+            params = dataclasses.replace(params, bias=np.array([0.25, -1.5, 3.0]))
+        if hidden_dim is None:
+            want = struct.pack("<4sIII", b"RSM1", 5, 3, int(bias))
+            matrices = [params.weight]
+        else:
+            want = struct.pack("<4sIIII", b"RSM2", 5, hidden_dim, 3, int(bias))
+            matrices = [params.weight_in, params.weight_out]
+        for array in matrices + ([params.bias] if bias else []):
+            want += struct.pack(f"<{array.size}d", *array.ravel())
+        path = tmp_path / "enc.bin"
+        save_encoder(path, params)
+        assert path.read_bytes() == want
+
+    def test_truncation_names_what_was_being_read(self, tmp_path):
+        path = tmp_path / "enc.bin"
+        save_encoder(path, init_encoder(5, 3, seed=12, hidden_dim=4, bias=True))
+        raw = path.read_bytes()
+        for cut, what in [(18, "truncated header"), (20 + 8 * 20, "reading weight_out"),
+                          (len(raw) - 8, "reading bias")]:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointFormatError, match=what):
+                load_encoder(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "enc.bin"

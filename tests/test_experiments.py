@@ -40,14 +40,6 @@ def tiny_config(**overrides):
 
 
 class TestTrainConfig:
-    def test_smooth_ap_requires_tau(self):
-        with pytest.raises(ValueError, match="tau"):
-            tiny_config(tau=None)
-
-    def test_other_losses_allow_missing_tau(self):
-        cfg = tiny_config(loss="triplet", tau=None)
-        assert cfg.diagnostics_config.tau == 0.01
-
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError, match="loss"):
             tiny_config(loss="hinge")
@@ -60,6 +52,20 @@ class TestTrainConfig:
     def test_hidden_dim_below_one_rejected(self):
         with pytest.raises(ValueError, match="hidden_dim"):
             tiny_config(hidden_dim=0)
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(batch_size=10, per_class=4), "divide"),
+            (dict(grad_threshold=0.0), "grad_threshold"),
+            (dict(triplet_margin=-0.1), "margin"),
+        ],
+    )
+    def test_sub_config_checks_run_at_construction(self, overrides, match):
+        # The sampler, SmoothApConfig and TripletConfig would each reject
+        # these values at the first training step.
+        with pytest.raises(ValueError, match=match):
+            tiny_config(**overrides)
 
     def test_positive_counts_enforced(self):
         with pytest.raises(ValueError):
@@ -105,7 +111,7 @@ class TestTrain:
 
     def test_all_losses_run(self):
         for loss in ("smooth-ap", "triplet", "contrastive"):
-            result = train(tiny_config(loss=loss, tau=0.05 if loss == "smooth-ap" else None))
+            result = train(tiny_config(loss=loss))
             assert len(result.records) == 3
 
     def test_hidden_layer_path(self):
@@ -159,6 +165,14 @@ class TestAblate:
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             ablate(tiny_config(), "gamma", [1.0])
+
+    def test_bad_grid_value_rejected_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "train", lambda cfg: calls.append(cfg))
+        # per_class 3 does not divide batch_size 8; per_class 2 comes first.
+        with pytest.raises(ValueError, match="divide"):
+            ablate(tiny_config(batch_size=8), "per_class", [2, 3])
+        assert calls == []
 
 
 class TestGradCheck:
