@@ -16,6 +16,7 @@ from .data import (
     SamplerConfig,
     SamplerError,
     SamplerState,
+    SyntheticSpec,
     gen_synthetic_clusters,
     load_features_csv,
     next_batch,
@@ -38,7 +39,6 @@ from .experiments import (
     CsvSpec,
     ExperimentRecord,
     GradCheckReport,
-    SyntheticSpec,
     TrainConfig,
     TrainResult,
     ablate,

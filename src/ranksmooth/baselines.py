@@ -19,7 +19,8 @@ __all__ = ["TripletConfig", "triplet_loss", "contrastive_loss", "violating_terms
 
 @dataclass(frozen=True)
 class TripletConfig:
-    """Hinge margin of the triplet loss."""
+    """Hinge margin of the triplet loss; the contrastive loss checks its
+    margin through it too."""
 
     margin: float = 0.1
 
@@ -75,8 +76,7 @@ def contrastive_loss(batch, margin=0.5, allow_degenerate=False):
     Mean over positive pairs of (1 - s) plus mean over negative pairs of
     max(s - margin, 0), each pair counted once (i < j).
     """
-    if margin < 0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
+    TripletConfig(margin)  # rejects a negative margin
     unit, norms = normalize_rows(batch.vectors)
     m = len(batch)
     queries_with_positives(batch.class_ids, allow_degenerate, "contrastive_loss")

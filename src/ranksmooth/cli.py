@@ -60,7 +60,7 @@ from .experiments import (
     train,
 )
 from .plots import line_chart
-from .smoothap import SmoothApConfig, smooth_ap_loss
+from .smoothap import smooth_ap_loss
 
 SEED_ENV_VAR = "RANK_SMOOTH_SEED"
 
@@ -302,20 +302,16 @@ def cmd_train(args, params, seed):
 
 def cmd_eval(args, params, seed):
     out = _out_dir(args.output)
-    config = {
-        "data": str(args.data),
-        "checkpoint": str(args.checkpoint) if args.checkpoint else None,
-        **params,
-        "seed": seed,
-    }
+    config = dict(data=str(args.data), checkpoint=args.checkpoint or None, **params, seed=seed)
     with _manifest(out / "manifest.json", "eval", config, seed) as outputs:
+        cfg = TrainConfig(**params, seed=seed)
         ds = load_features_csv(args.data)
         if args.checkpoint:
             encoder = load_encoder(args.checkpoint)
         else:
-            encoder = init_encoder(ds.dim, params["d_out"], seed=seed)
+            encoder = init_encoder(ds.dim, cfg.d_out, seed=cfg.seed)
         batch = encode(ds.features, ds.class_ids, encoder)
-        diag = SmoothApConfig(params["tau"])
+        diag = cfg.smooth_ap
         loss = smooth_ap_loss(batch, diag).loss
         record = measure(0, loss, batch, encoder, ds, diag, time.perf_counter())
         _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(record)])

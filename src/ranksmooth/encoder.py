@@ -2,8 +2,9 @@
 
 The default encoder is a single linear layer followed by row-wise L2
 normalization; an optional tanh hidden layer sits behind the hidden_dim
-flag. Backward passes are hand-written chain rule (the normalization
-Jacobian annihilates each row's radial direction), and the optimizer is a
+flag. Both run one loop over the weights, a tanh after all but the last.
+Backward passes are hand-written chain rule (the normalization Jacobian
+annihilates each row's radial direction), and the optimizer is a
 pure-function Adam with classical L2 weight decay added into the gradient.
 Its learning rate and weight decay live on AdamState; the moment decays
 (beta1 0.9, beta2 0.999) and the denominator's eps (1e-8) are the fixed
@@ -74,19 +75,14 @@ class TwoLayerParams:
 
 
 def init_encoder(d_in, d_out, seed, bias=False, hidden_dim=None):
-    """Fresh encoder parameters, uniform in +-1/sqrt(fan_in) per layer."""
+    """Fresh encoder parameters, uniform in +-1/sqrt(fan_in) per layer,
+    drawn in layer order from dims [d_in, (hidden_dim,) d_out]."""
     rng = np.random.default_rng(seed)
-    if hidden_dim is None:
-        bound = 1.0 / np.sqrt(d_in)
-        weight = rng.uniform(-bound, bound, size=(d_in, d_out))
-        return EncoderParams(weight=weight, bias=np.zeros(d_out) if bias else None)
-    bound_in = 1.0 / np.sqrt(d_in)
-    bound_out = 1.0 / np.sqrt(hidden_dim)
-    return TwoLayerParams(
-        weight_in=rng.uniform(-bound_in, bound_in, size=(d_in, hidden_dim)),
-        weight_out=rng.uniform(-bound_out, bound_out, size=(hidden_dim, d_out)),
-        bias=np.zeros(d_out) if bias else None,
-    )
+    dims = (d_in, d_out) if hidden_dim is None else (d_in, hidden_dim, d_out)
+    bounds = [1.0 / np.sqrt(fan_in) for fan_in in dims[:-1]]
+    weights = [rng.uniform(-b, b, size=shape) for b, shape in zip(bounds, zip(dims, dims[1:]))]
+    cls = EncoderParams if hidden_dim is None else TwoLayerParams
+    return cls(*weights, bias=np.zeros(d_out) if bias else None)
 
 
 # Checkpoint magic per parameter class.
@@ -96,21 +92,25 @@ _FORMATS = {b"RSM1": EncoderParams, b"RSM2": TwoLayerParams}
 def param_arrays(params):
     """Named parameter arrays in field order (weights, then bias), leaving
     out an absent bias. This order is the checkpoint payload order."""
-    arrays = {f.name: getattr(params, f.name) for f in fields(params)}
-    return {name: array for name, array in arrays.items() if array is not None}
+    return {name: array for name, array in vars(params).items() if array is not None}
+
+
+def _weights(params):
+    """The weight matrices by name, input layer first."""
+    return {name: array for name, array in vars(params).items() if name != "bias"}
 
 
 def _forward(features, params):
-    x = np.asarray(features, dtype=np.float64)
-    if isinstance(params, EncoderParams):
-        z = x @ params.weight
-        hidden = None
-    else:
-        hidden = np.tanh(x @ params.weight_in)
-        z = hidden @ params.weight_out
+    """Each layer's input, and z, the output before normalization. A tanh
+    follows every weight but the last."""
+    inputs = [np.asarray(features, dtype=np.float64)]
+    *hidden, last = _weights(params).values()
+    for weight in hidden:
+        inputs.append(np.tanh(inputs[-1] @ weight))
+    z = inputs[-1] @ last
     if params.bias is not None:
         z = z + params.bias
-    return x, hidden, z
+    return inputs, z
 
 
 def encode(features, class_ids, params):
@@ -119,7 +119,7 @@ def encode(features, class_ids, params):
     A row that projects to (near) zero cannot be normalized and raises,
     naming the row. Scaling the weights leaves the output unchanged.
     """
-    _, _, z = _forward(features, params)
+    _, z = _forward(features, params)
     unit, _ = normalize_rows(z)
     return EmbeddingBatch(unit, class_ids)
 
@@ -128,17 +128,17 @@ def encode_backward(features, params, upstream_grad):
     """Gradients of a loss w.r.t. the encoder parameters.
 
     upstream_grad is d loss / d embedding rows (the normalized output).
-    Returns a dict matching param_arrays(params).
+    Walks the layers from the output back, through a tanh only where an
+    earlier layer remains. Returns a dict matching param_arrays(params).
     """
-    x, hidden, z = _forward(features, params)
+    inputs, z = _forward(features, params)
     unit, norms = normalize_rows(z)
     grad_z = project_out_radial(unit, norms, np.asarray(upstream_grad, dtype=np.float64))
-    if isinstance(params, EncoderParams):
-        grads = {"weight": x.T @ grad_z}
-    else:
-        grad_hidden = grad_z @ params.weight_out.T
-        grad_pre = grad_hidden * (1.0 - hidden**2)
-        grads = {"weight_in": x.T @ grad_pre, "weight_out": hidden.T @ grad_z}
+    grads, grad = {}, grad_z
+    for depth, (name, weight) in reversed(list(enumerate(_weights(params).items()))):
+        grads[name] = inputs[depth].T @ grad
+        if depth:
+            grad = (grad @ weight.T) * (1.0 - inputs[depth] ** 2)
     if params.bias is not None:
         grads["bias"] = grad_z.sum(axis=0)
     return grads
@@ -152,19 +152,15 @@ class AdamState:
     moment1: dict
     moment2: dict
     step_count: int
-    lr: float = 1e-5
-    weight_decay: float = 4e-5
+    lr: float
+    weight_decay: float
 
     @classmethod
-    def initial(cls, params, **hyper):
-        """Zero moments for params; hyper sets lr and weight_decay."""
-        arrays = param_arrays(params)
-        return cls(
-            moment1={k: np.zeros_like(v) for k, v in arrays.items()},
-            moment2={k: np.zeros_like(v) for k, v in arrays.items()},
-            step_count=0,
-            **hyper,
-        )
+    def initial(cls, params, lr, weight_decay):
+        """Zero moments for params, before the first step."""
+        moment1 = {k: np.zeros_like(v) for k, v in param_arrays(params).items()}
+        moment2 = {k: np.zeros_like(v) for k, v in moment1.items()}
+        return cls(moment1, moment2, 0, lr, weight_decay)
 
 
 def adam_step(params, grads, state):
@@ -199,14 +195,13 @@ def adam_step(params, grads, state):
 
 def save_encoder(path, params):
     """Write params in the documented little-endian binary layout."""
-    arrays = param_arrays(params)
-    weights = [array for name, array in arrays.items() if name != "bias"]
+    weights = list(_weights(params).values())
     dims = [weights[0].shape[0]] + [w.shape[1] for w in weights]
     magic = next(magic for magic, cls in _FORMATS.items() if isinstance(params, cls))
     flags = 1 if params.bias is not None else 0
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack(f"<{len(dims) + 1}I", *dims, flags))
-        for array in arrays.values():
+        for array in param_arrays(params).values():
             fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
 
 

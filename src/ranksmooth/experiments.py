@@ -1,10 +1,10 @@
 """Training loop, ablation grids, gradient checks, and diagnostic sweeps.
 
-Every fact needed to reproduce a run lives in TrainConfig; all randomness
-flows from its seed through explicit streams (encoder init, batch
-sampler), so identical configs produce bit-identical metric logs. Wall
-times are recorded alongside but are the one intentionally non-repeatable
-quantity.
+Every fact needed to reproduce a run lives in TrainConfig, which train
+and both sweeps pass to _train_steps; all randomness flows from its seed
+through explicit streams (encoder init, batch sampler), so identical
+configs produce bit-identical metric logs. Wall times are recorded
+alongside but are the one intentionally non-repeatable quantity.
 """
 
 import time
@@ -19,6 +19,7 @@ from .baselines import TripletConfig, contrastive_loss, triplet_loss
 from .data import (
     SamplerConfig,
     SamplerState,
+    SyntheticSpec,
     gen_synthetic_clusters,
     load_features_csv,
     split_by_class,
@@ -35,8 +36,6 @@ from .encoder import (
 )
 from .ranking import EmbeddingBatch, map_and_recall
 from .smoothap import (
-    DEFAULT_GRAD_THRESHOLD,
-    DEFAULT_TAU,
     SmoothApConfig,
     batch_ap_error,
     batch_operating_region,
@@ -64,23 +63,6 @@ LOSS_KINDS = ("smooth-ap", "triplet", "contrastive")
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
-    """Desk-scale synthetic dataset request; seed=None means the run seed.
-
-    The defaults put the untrained encoder's open-set mAP near 0.5 with
-    headroom both ways: a 16-dimensional shared signal subspace under
-    full-dimensional noise of sigma 0.13 per coordinate.
-    """
-
-    num_classes: int = 50
-    per_class: int = 20
-    dim: int = 64
-    noise_sigma: float = 0.13
-    signal_dim: int | None = 16
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
 class CsvSpec:
     """Feature CSV on disk."""
 
@@ -90,7 +72,7 @@ class CsvSpec:
 @dataclass(frozen=True)
 class TrainConfig:
     loss: str = "smooth-ap"
-    tau: float = DEFAULT_TAU
+    tau: float = SmoothApConfig.tau
     batch_size: int = 64
     per_class: int = 4
     steps: int = 2000
@@ -105,7 +87,7 @@ class TrainConfig:
     bias: bool = False
     triplet_margin: float = 0.1
     contrastive_margin: float = 0.5
-    grad_threshold: float = DEFAULT_GRAD_THRESHOLD
+    grad_threshold: float = SmoothApConfig.grad_threshold
 
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
@@ -122,14 +104,20 @@ class TrainConfig:
         # The configs this one feeds check their own fields, so a bad value
         # fails here and not at the first training step.
         self.smooth_ap
-        SamplerConfig(self.batch_size, self.per_class, self.seed)
+        self.sampler
         TripletConfig(self.triplet_margin)
+        TripletConfig(self.contrastive_margin)
 
     @property
     def smooth_ap(self):
         """The smoothed-AP loss's sigmoid config; every loss also logs its
         AP-error and operating-region diagnostics with it."""
         return SmoothApConfig(self.tau, self.grad_threshold)
+
+    @property
+    def sampler(self):
+        """The class-balanced batch sampler's config."""
+        return SamplerConfig(self.batch_size, self.per_class, self.seed)
 
 
 @dataclass(frozen=True)
@@ -223,19 +211,18 @@ def measure(step, loss_value, batch, params, test_ds, diag, started):
     )
 
 
-def _sampled(dataset, batch_size, per_class, seed):
-    """Endless class-balanced row-index batches from one sampler stream."""
-    sampler_cfg = SamplerConfig(batch_size, per_class, seed)
-    state = SamplerState(seed=seed)
+def _sampled(dataset, cfg):
+    """Endless class-balanced row-index batches from cfg's sampler stream."""
+    sampler, state = cfg.sampler, SamplerState(seed=cfg.seed)
     while True:
-        idx, state = next_batch(dataset, sampler_cfg, state)
+        idx, state = next_batch(dataset, sampler, state)
         yield idx
 
 
-def _train_steps(dataset, batches, params, opt, loss_fn):
-    """The training step: encode -> loss -> backward -> Adam.
-
-    For each row-index array in batches, yields (batch, loss output,
+def _train_steps(dataset, batches, cfg, loss_fn=None):
+    """The run recipe: cfg's fresh encoder and Adam state, then per batch
+    the training step encode -> loss (cfg's unless loss_fn) -> backward ->
+    Adam. For each row-index array in batches, yields (batch, loss output,
     params) before the update, so the caller measures the parameters that
     produced the loss; the update runs when the caller asks for the next
     step. A loss_fn returning None skips the update.
@@ -244,6 +231,9 @@ def _train_steps(dataset, batches, params, opt, loss_fn):
     non-finite loss, or an update that leaves a parameter array with a
     non-finite norm (past that, encoding overflows).
     """
+    params = init_encoder(dataset.dim, cfg.d_out, cfg.seed, cfg.bias, cfg.hidden_dim)
+    opt = AdamState.initial(params, cfg.lr, cfg.weight_decay)
+    loss_fn = loss_fn or partial(_loss_for, cfg)
     for step, idx in enumerate(batches):
         batch = encode(dataset.features[idx], dataset.class_ids[idx], params)
         out = loss_fn(batch)
@@ -273,14 +263,9 @@ def train(cfg):
     """
     dataset = build_dataset(cfg.data, cfg.seed)
     train_ds, test_ds = split_by_class(dataset, cfg.test_fraction, cfg.seed)
-    params = init_encoder(
-        train_ds.dim, cfg.d_out, seed=cfg.seed, bias=cfg.bias, hidden_dim=cfg.hidden_dim
-    )
-    opt = AdamState.initial(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    batches = _sampled(train_ds, cfg.batch_size, cfg.per_class, cfg.seed)
     started = time.perf_counter()
     records = []
-    steps = _train_steps(train_ds, batches, params, opt, partial(_loss_for, cfg))
+    steps = _train_steps(train_ds, _sampled(train_ds, cfg), cfg)
     for step, (batch, out, params) in enumerate(steps):
         if step % cfg.eval_every == 0 or step == cfg.steps:
             records.append(
@@ -385,34 +370,36 @@ def grad_check(
     )
 
 
-def approx_error_sweep(dataset, taus=(0.1, 0.01, 0.001), steps=20, *, batch_size=64,
-                       per_class=4, d_out=16, lr=1e-5, weight_decay=4e-5, seed=0):
+def approx_error_sweep(dataset, taus=(0.1, 0.01, 0.001), steps=20, *,
+                       batch_size=TrainConfig.batch_size, per_class=TrainConfig.per_class,
+                       d_out=TrainConfig.d_out, lr=1e-5,
+                       weight_decay=TrainConfig.weight_decay, seed=0):
     """Per-temperature AP approximation error along a training trajectory.
 
     For each temperature, a fresh encoder trains with the smoothed-AP loss
     at that temperature and the per-batch error is logged before every
-    update. Returns {tau: [error per step]}.
+    update. Every run's TrainConfig is checked before the first trains.
+    Returns {tau: [error per step]}.
     """
     if not taus:
         raise ValueError("taus must list at least one temperature")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
+    base = TrainConfig(batch_size=batch_size, per_class=per_class, d_out=d_out, lr=lr,
+                       weight_decay=weight_decay, seed=seed)
     out = {}
-    for cfg in [SmoothApConfig(tau) for tau in taus]:
-        params = init_encoder(dataset.dim, d_out, seed=seed)
-        opt = AdamState.initial(params, lr=lr, weight_decay=weight_decay)
-        batches = islice(_sampled(dataset, batch_size, per_class, seed), steps)
-        loss_fn = partial(smooth_ap_loss, cfg=cfg)
+    for cfg in [replace(base, tau=tau) for tau in taus]:
+        batches = islice(_sampled(dataset, cfg), steps)
+        diag = cfg.smooth_ap
         out[cfg.tau] = [
-            batch_ap_error(batch, cfg)
-            for batch, _, _ in _train_steps(dataset, batches, params, opt, loss_fn)
+            batch_ap_error(batch, diag) for batch, _, _ in _train_steps(dataset, batches, cfg)
         ]
     return out
 
 
-def operating_region_sweep(dataset, batch_sizes=(32, 64, 128, 256), *, tau=DEFAULT_TAU,
-                           grad_threshold=DEFAULT_GRAD_THRESHOLD, d_out=16,
-                           lr=0.6, weight_decay=4e-5, seed=0, repeats=16):
+def operating_region_sweep(dataset, batch_sizes=(32, 64, 128, 256), *, tau=TrainConfig.tau,
+                           grad_threshold=TrainConfig.grad_threshold, d_out=TrainConfig.d_out,
+                           lr=0.6, weight_decay=TrainConfig.weight_decay, seed=0, repeats=16):
     """Mean operating-region fraction per batch size across one epoch of
     training with the smoothed-AP loss, all else held fixed.
 
@@ -428,9 +415,12 @@ def operating_region_sweep(dataset, batch_sizes=(32, 64, 128, 256), *, tau=DEFAU
     The learning rate deliberately compresses a meaningful amount of
     training into one desk-scale epoch (a thousand instances); at tiny
     rates the epoch is equivalent to a frozen encoder and the batch-size
-    trend washes out.
+    trend washes out. The batch sizes stay outside the TrainConfig, whose
+    sampler would reject the legal B=1.
     """
-    cfg = SmoothApConfig(tau, grad_threshold)
+    base = TrainConfig(tau=tau, grad_threshold=grad_threshold, d_out=d_out, lr=lr,
+                       weight_decay=weight_decay, seed=seed)
+    diag = base.smooth_ap
     if not batch_sizes:
         raise ValueError("batch_sizes must list at least one batch size")
     for b in batch_sizes:
@@ -449,18 +439,17 @@ def operating_region_sweep(dataset, batch_sizes=(32, 64, 128, 256), *, tau=DEFAU
             return None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return smooth_ap_loss(batch, cfg, allow_degenerate=True)
+            return smooth_ap_loss(batch, diag, allow_degenerate=True)
 
     out = {}
     for b in batch_sizes:
         fractions = []
         for rep in range(repeats):
-            params = init_encoder(dataset.dim, d_out, seed=seed + rep)
-            opt = AdamState.initial(params, lr=lr, weight_decay=weight_decay)
+            cfg = replace(base, seed=seed + rep)
             batches = (orders[rep][i * b : (i + 1) * b] for i in range(max(1, len(dataset) // b)))
             fractions.extend(
-                batch_operating_region(batch, cfg)
-                for batch, _, _ in _train_steps(dataset, batches, params, opt, loss_fn)
+                batch_operating_region(batch, diag)
+                for batch, _, _ in _train_steps(dataset, batches, cfg, loss_fn)
             )
         out[b] = float(np.mean(fractions))
     return out

@@ -49,9 +49,6 @@ __all__ = [
     "operating_region_halfwidth",
 ]
 
-DEFAULT_TAU = 0.01
-DEFAULT_GRAD_THRESHOLD = 0.005
-
 # Elements per difference block of the loss: its few full-size blocks
 # amortize the per-block overhead that a cache-sized budget pays many times.
 _LOSS_BLOCK_ELEMENTS = 32768
@@ -61,8 +58,8 @@ class SmoothApConfig:
     """Temperature of the smoothing sigmoid and the gradient-magnitude cut
     that defines its operating region."""
 
-    tau: float = DEFAULT_TAU
-    grad_threshold: float = DEFAULT_GRAD_THRESHOLD
+    tau: float = 0.01
+    grad_threshold: float = 0.005
 
     def __post_init__(self):
         if not self.tau > 0:

@@ -75,6 +75,15 @@ class TestGenData:
         assert manifest["config"]["classes"] == 10
         assert manifest["finished_at"] is not None
 
+    def test_signal_dim_zero_means_isotropic(self, tmp_path):
+        out = tmp_path / "iso.csv"
+        assert main(["gen-data", "--dim", "12", "--signal-dim", "0", "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()[0].split(",")) == 2 + 12
+
+    def test_default_signal_dim_too_wide_usage_error(self, tmp_path, capsys):
+        assert main(["gen-data", "--dim", "12", "-o", str(tmp_path / "x.csv")]) == 2
+        assert "signal_dim must be in [1, 12], got 16" in capsys.readouterr().err
+
     def test_too_few_classes_usage_error(self, tmp_path, capsys):
         code = main(["gen-data", "--classes", "1", "-o", str(tmp_path / "x.csv")])
         assert code == 2
@@ -302,6 +311,11 @@ class TestEval:
         values = lines[1].split(",")
         assert 0.0 <= float(values[2]) <= 1.0
 
+    def test_d_out_zero_usage_error(self, tmp_path, dataset_csv, capsys):
+        code = main(["eval", "--data", str(dataset_csv), "--d-out", "0", "-o", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: d_out must be positive" in capsys.readouterr().err
+
     def test_missing_checkpoint_usage_error(self, tmp_path, dataset_csv, capsys):
         code = main(
             [
@@ -424,6 +438,15 @@ class TestDiagnosticsCommands:
         assert f"error: {name} must be at least 1" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
         assert not list(out.glob("*.csv"))
+
+    def test_bad_recipe_fails_before_training(self, tmp_path, dataset_csv, capsys):
+        out = tmp_path / "o"
+        code = main(["region-sweep", "--data", str(dataset_csv), "--weight-decay", "-2",
+                     "-o", str(out)])
+        assert code == 2
+        assert "weight_decay nonnegative" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+        assert not (out / "region_sweep.csv").exists()
 
     def test_region_sweep_rerun_identical(self, tmp_path, dataset_csv):
         outs = []

@@ -9,6 +9,7 @@ from ranksmooth.data import (
     SamplerConfig,
     SamplerError,
     SamplerState,
+    SyntheticSpec,
     gen_synthetic_clusters,
     load_features_csv,
     next_batch,
@@ -65,6 +66,13 @@ class TestGenSyntheticClusters:
             gen_synthetic_clusters(3, 4, 8, -0.1, seed=0)
         with pytest.raises(ValueError):
             gen_synthetic_clusters(3, 4, 8, 0.1, seed=0, signal_dim=9)
+
+    def test_spec_checked_like_generator(self):
+        message = r"signal_dim must be in \[1, 12\], got 16"
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(dim=12)
+        with pytest.raises(ValueError, match=message):
+            gen_synthetic_clusters(3, 4, 12, 0.1, seed=0, signal_dim=16)
 
     def test_immutable(self):
         ds = gen_synthetic_clusters(3, 3, 4, 0.1, seed=5)

@@ -164,7 +164,7 @@ class TestAdam:
         rng = np.random.default_rng(9)
         params = init_encoder(4, 3, seed=2)
         g = {"weight": rng.normal(size=(4, 3))}
-        state = AdamState.initial(params)
+        state = AdamState.initial(params, lr=1e-5, weight_decay=4e-5)
         before = params.weight.copy()
         a_params, a_state = adam_step(params, g, state)
         b_params, b_state = adam_step(params, g, state)
@@ -181,7 +181,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         params = init_encoder(3, 2, seed=0)
-        state = AdamState.initial(params)
+        state = AdamState.initial(params, lr=1e-5, weight_decay=4e-5)
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, {"weight": np.zeros((2, 2))}, state)
         with pytest.raises(ValueError, match="keys"):
@@ -193,7 +193,7 @@ class TestAdam:
 
         def run():
             params = init_encoder(3, 2, seed=4)
-            state = AdamState.initial(params, lr=1e-2)
+            state = AdamState.initial(params, lr=1e-2, weight_decay=4e-5)
             for g in grads:
                 params, state = adam_step(params, g, state)
             return params.weight

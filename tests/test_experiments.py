@@ -67,6 +67,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=match):
             tiny_config(**overrides)
 
+    def test_synthetic_spec_checked_at_construction(self):
+        # The default signal_dim 16 does not fit in 12 dimensions.
+        with pytest.raises(ValueError, match=r"signal_dim must be in \[1, 12\], got 16"):
+            TrainConfig(data=SyntheticSpec(dim=12))
+
     def test_positive_counts_enforced(self):
         with pytest.raises(ValueError):
             tiny_config(batch_size=0)
@@ -174,6 +179,13 @@ class TestAblate:
             ablate(tiny_config(batch_size=8), "per_class", [2, 3])
         assert calls == []
 
+    def test_bad_contrastive_margin_rejected_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "train", lambda cfg: calls.append(cfg))
+        with pytest.raises(ValueError, match="margin must be nonnegative"):
+            ablate(tiny_config(loss="contrastive"), "contrastive_margin", [0.5, -1.0])
+        assert calls == []
+
 
 class TestGradCheck:
     def test_smooth_ap_report(self):
@@ -188,6 +200,14 @@ class TestGradCheck:
     def test_batch_size_must_fit_classes(self):
         with pytest.raises(ValueError, match="multiple"):
             grad_check(m=7)
+
+
+@pytest.fixture()
+def train_steps_calls(monkeypatch):
+    """Record every training run a sweep starts, without running it."""
+    calls = []
+    monkeypatch.setattr(experiments, "_train_steps", lambda *args: calls.append(args) or ())
+    return calls
 
 
 class TestApproxErrorSweep:
@@ -215,6 +235,16 @@ class TestApproxErrorSweep:
         with pytest.raises(ValueError, match="steps must be at least 1"):
             approx_error_sweep(ds, [0.05], steps=steps, batch_size=8, per_class=2)
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [(dict(lr=-1.0), "lr must be positive"), (dict(d_out=0), "d_out must be positive")],
+    )
+    def test_bad_recipe_rejected_before_training(self, train_steps_calls, overrides, match):
+        ds = gen_synthetic_clusters(8, 6, 12, 0.15, seed=2, signal_dim=6)
+        with pytest.raises(ValueError, match=match):
+            approx_error_sweep(ds, **overrides)
+        assert train_steps_calls == []
+
 
 class TestOperatingRegionSweep:
     def test_single_instance_batches_full_region(self):
@@ -238,6 +268,12 @@ class TestOperatingRegionSweep:
         ds = gen_synthetic_clusters(4, 2, 8, 0.2, seed=5)
         with pytest.raises(ValueError, match="repeats must be at least 1"):
             operating_region_sweep(ds, [4], repeats=repeats)
+
+    def test_bad_recipe_rejected_before_training(self, train_steps_calls):
+        ds = gen_synthetic_clusters(4, 2, 8, 0.2, seed=5)
+        with pytest.raises(ValueError, match="weight_decay nonnegative"):
+            operating_region_sweep(ds, weight_decay=-2.0)
+        assert train_steps_calls == []
 
     def test_values_are_fractions(self):
         ds = gen_synthetic_clusters(6, 4, 8, 0.2, seed=6)

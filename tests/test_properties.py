@@ -1,9 +1,11 @@
 """Property tests: the row-blocked exact-ranking and diagnostic kernels and
 the batched losses against the pairwise-matrix, per-query and per-anchor
 references in helpers, on random batches with tied scores, duplicate rows
-and uneven class sizes. Equalities are exact unless a tolerance is given."""
+and uneven class sizes, and the batch sampler's invariants on uneven
+datasets. Equalities are exact unless a tolerance is given."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from helpers import (
     sorted_recall_at_k,
 )
 from ranksmooth.baselines import TripletConfig, triplet_loss
-from ranksmooth.data import Dataset
+from ranksmooth.data import Dataset, SamplerConfig, SamplerState, next_batch
 from ranksmooth.encoder import EncoderParams, encode
 from ranksmooth.experiments import evaluate_encoder
 from ranksmooth.ranking import (
@@ -250,6 +252,39 @@ def test_smooth_ap_loss_score_grad_equals_full_matrix_gradient(batch, tau):
     assert np.abs(score_grad - expected).max() <= 1e-12 * max(scale, np.abs(expected).max())
     assert not np.diagonal(score_grad).any()
     assert not score_grad[~valid].any()
+
+
+@st.composite
+def sampler_cases(draw):
+    """A dataset of uneven classes (sparse labels, shuffled rows) and a
+    sampler config asking for at most as many classes as are eligible."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
+    per_class = draw(st.integers(1, max(sizes)))
+    num_classes = draw(st.integers(1, sum(size >= per_class for size in sizes)))
+    labels = np.repeat(np.arange(len(sizes)) * 7, sizes)
+    labels = labels[draw(st.permutations(range(labels.size)))]
+    dataset = Dataset(np.zeros((labels.size, 1)), labels)
+    return dataset, SamplerConfig(num_classes * per_class, per_class, seed=0)
+
+
+@PROPERTY_SETTINGS
+@given(sampler_cases(), st.integers(0, 2**64 - 1), st.integers(0, 1000))
+def test_next_batch_invariants(case, seed, counter):
+    dataset, config = case
+    state = SamplerState(seed, counter)
+    idx, after = next_batch(dataset, config, state)
+    labels, counts = np.unique(dataset.class_ids[idx], return_counts=True)
+    eligible = {c for c, rows in dataset.class_index.items() if rows.size >= config.per_class}
+    assert labels.size == config.batch_size // config.per_class
+    assert set(labels.tolist()) <= eligible
+    assert (counts == config.per_class).all()
+    assert np.unique(idx).size == idx.size
+    # A pure function of (seed, counter): a draw in between, an equal
+    # fresh state and another config seed leave the batch unchanged.
+    assert after == state.advance() == SamplerState(seed, counter + 1)
+    next_batch(dataset, config, after)
+    again, _ = next_batch(dataset, replace(config, seed=1), SamplerState(seed, counter))
+    assert np.array_equal(again, idx)
 
 
 @pytest.mark.parametrize("seed", range(3))
