@@ -1,14 +1,15 @@
 """Command-line front door: data generation, training, evaluation,
 ablation grids, and diagnostics, with CSV/SVG outputs.
 
-Every run writes a manifest (command, fully resolved config, seed, git
-describe, environment, timestamps) before any compute starts, so a
-crashed run still leaves a record of the attempt. The _manifest context
-manager wraps the run and rewrites the file when the run ends, with its
-status ("ok" or "failed"), the error that ended it, and the outputs the
-run listed (none when it failed). All CSV outputs are deterministic
-given identical flags and seed; wall-clock timings go to a separate
-timings.csv sidecar to keep that true.
+Every subcommand that writes files writes a manifest (command, config,
+seed, git describe, environment, timestamps) before any compute starts:
+-o/manifest.json, or <csv>.manifest.json beside gen-data's file. Its
+config is keyed by the library's parameter names, plus the seed and the
+--data, --checkpoint, --param and --values given. The run's end adds its
+status ("ok" or "failed"), the error and the files written. An error in
+the flags, the config file or the input paths comes before the run and
+leaves no manifest. CSV outputs are deterministic given identical flags
+and seed; wall-clock timings go to a separate timings.csv sidecar.
 
 Each subcommand takes its options and their defaults from the library
 object it calls: gen-data from SyntheticSpec, train and ablate from
@@ -34,7 +35,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, astuple, fields, is_dataclass
+from dataclasses import MISSING, astuple, fields, is_dataclass
 from functools import partial
 from inspect import Parameter, signature
 from pathlib import Path
@@ -85,10 +86,6 @@ class UsageError(ValueError):
 
 def _key(name):
     return SPELLING.get(name, name)
-
-
-def _spelled(params):
-    return {_key(name): value for name, value in params.items()}
 
 
 def _options(obj):
@@ -227,20 +224,16 @@ def _environment():
 
 @contextmanager
 def _manifest(path, command, config, seed):
-    """Run manifest written before compute and finalized when the run ends.
-
-    Wraps the run and yields the list of its outputs, which the run fills
-    as it writes its files. Leaving the block stamps finished_at and the
-    status: "ok" with the outputs, or "failed" with the error message when
-    an exception left the block (the outputs then stay empty).
-    """
+    """Write the manifest, yield the list the run appends its files to, and
+    on leaving rewrite it with finished_at and the status: "ok" with the
+    files, or "failed" with the error message and no files."""
     stamp = partial(time.strftime, "%Y-%m-%dT%H:%M:%S%z")
     body = dict(command=command, config=config, seed=seed, git_describe=_git_describe(),
                 environment=_environment(), started_at=stamp(), finished_at=None,
                 status="running", error=None, outputs=[])
 
     def write():
-        Path(path).write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8", newline="\n")
+        path.write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8", newline="\n")
 
     write()
     outputs = []
@@ -255,89 +248,72 @@ def _manifest(path, command, config, seed):
         write()
 
 
-def _out_dir(path):
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each takes the parsed args, the resolved parameters of its
-# option table, and the seed.
+# option table, the seed, and the manifest's list of the files it writes.
 
-def cmd_gen_data(args, params, seed):
-    out = Path(args.output)
-    config = dict(_spelled(params), seed=seed)
-    with _manifest(str(out) + ".manifest.json", "gen-data", config, seed) as outputs:
-        # signal_dim 0 asks for fully isotropic means (None in the library).
-        spec = SyntheticSpec(**dict(params, signal_dim=params["signal_dim"] or None))
-        ds = build_dataset(spec, seed)
-        save_features_csv(out, ds)
-        outputs.append(out)
-    print(f"wrote {len(ds)} rows to {out}")
+def cmd_gen_data(args, params, seed, outputs):
+    # signal_dim 0 asks for fully isotropic means (None in the library).
+    spec = SyntheticSpec(**dict(params, signal_dim=params["signal_dim"] or None))
+    ds = build_dataset(spec, seed)
+    save_features_csv(args.output, ds)
+    outputs.append(args.output)
+    print(f"wrote {len(ds)} rows to {args.output}")
     return 0
 
 
-def cmd_train(args, params, seed):
-    cfg = TrainConfig(**params, seed=seed, data=CsvSpec(path=str(args.data)))
-    out = _out_dir(args.output)
-    with _manifest(out / "manifest.json", "train", asdict(cfg), seed) as outputs:
-        result = train(cfg)
-        records = result.records
-        _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(r) for r in records])
-        _write_csv(out / "timings.csv", ("step", "wall_ms"), [[r.step, r.wall_ms] for r in records])
-        save_encoder(out / "encoder.bin", result.params)
-        outputs += [out / "metrics.csv", out / "timings.csv", out / "encoder.bin"]
-        if args.plot:
-            steps = [r.step for r in records]
-            for name in ("train_loss", "test_map", "ap_error"):
-                path = out / f"plot_{name}.svg"
-                line_chart(path, steps, {name: [getattr(r, name) for r in records]},
-                           name, "step", name)
-                outputs.append(path)
+def cmd_train(args, params, seed, outputs):
+    out = args.output
+    result = train(TrainConfig(**params, seed=seed, data=CsvSpec(path=args.data)))
+    records = result.records
+    _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(r) for r in records])
+    _write_csv(out / "timings.csv", ("step", "wall_ms"), [[r.step, r.wall_ms] for r in records])
+    save_encoder(out / "encoder.bin", result.params)
+    outputs += [out / "metrics.csv", out / "timings.csv", out / "encoder.bin"]
+    if args.plot:
+        steps = [r.step for r in records]
+        for name in ("train_loss", "test_map", "ap_error"):
+            path = out / f"plot_{name}.svg"
+            line_chart(path, steps, {name: [getattr(r, name) for r in records]},
+                       name, "step", name)
+            outputs.append(path)
     final = result.final
     print(f"final step {final.step}: test mAP {final.test_map:.4f}, loss {final.train_loss:.4f}")
     return 0
 
 
-def cmd_eval(args, params, seed):
-    out = _out_dir(args.output)
-    config = dict(data=str(args.data), checkpoint=args.checkpoint or None, **params, seed=seed)
-    with _manifest(out / "manifest.json", "eval", config, seed) as outputs:
-        cfg = TrainConfig(**params, seed=seed)
-        ds = load_features_csv(args.data)
-        if args.checkpoint:
-            encoder = load_encoder(args.checkpoint)
-        else:
-            encoder = init_encoder(ds.dim, cfg.d_out, seed=cfg.seed)
-        batch = encode(ds.features, ds.class_ids, encoder)
-        diag = cfg.smooth_ap
-        loss = smooth_ap_loss(batch, diag).loss
-        record = measure(0, loss, batch, encoder, ds, diag, time.perf_counter())
-        _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(record)])
-        outputs.append(out / "metrics.csv")
+def cmd_eval(args, params, seed, outputs):
+    cfg = TrainConfig(**params, seed=seed)
+    ds = load_features_csv(args.data)
+    if args.checkpoint:
+        encoder = load_encoder(args.checkpoint)
+    else:
+        encoder = init_encoder(ds.dim, cfg.d_out, seed=cfg.seed)
+    batch = encode(ds.features, ds.class_ids, encoder)
+    diag = cfg.smooth_ap
+    loss = smooth_ap_loss(batch, diag).loss
+    record = measure(0, loss, batch, encoder, ds, diag, time.perf_counter())
+    _write_csv(args.output / "metrics.csv", METRIC_COLUMNS, [_metric_row(record)])
+    outputs.append(args.output / "metrics.csv")
     print(f"mAP {record.test_map:.4f}, recall@1 {record.recall_at_1:.4f} over {len(ds)} instances")
     return 0
 
 
-def cmd_ablate(args, params, seed):
+def cmd_ablate(args, params, seed, outputs):
     name = {key: name for name, key in SPELLING.items()}.get(args.param, args.param)
     if name not in TRAIN:
         raise UsageError(f"--param must be one of {', '.join(map(_key, TRAIN))}")
     values = [_parse("--values", v, *TRAIN[name]) for v in args.values.split(",") if v.strip()]
-    cfg = TrainConfig(**params, seed=seed, data=CsvSpec(path=str(args.data)))
-    out = _out_dir(args.output)
-    config = {"base": asdict(cfg), "param": args.param, "values": values}
-    with _manifest(out / "manifest.json", "ablate", config, seed) as outputs:
-        rows = [[value] + _metric_row(final) for value, final, _ in ablate(cfg, name, values)]
-        _write_csv(out / "summary.csv", (args.param,) + METRIC_COLUMNS, rows)
-        outputs.append(out / "summary.csv")
+    cfg = TrainConfig(**params, seed=seed, data=CsvSpec(path=args.data))
+    rows = [[value] + _metric_row(final) for value, final, _ in ablate(cfg, name, values)]
+    _write_csv(args.output / "summary.csv", (args.param,) + METRIC_COLUMNS, rows)
+    outputs.append(args.output / "summary.csv")
     for row in rows:
         print(f"{args.param}={row[0]}: test mAP {row[3]:.4f}")
     return 0
 
 
-def cmd_grad_check(args, params, seed):
+def cmd_grad_check(args, params, seed, outputs):
     report = grad_check(**params, seed=seed)
     print(
         f"{report.loss}: max rel error embedding {report.max_rel_error_embedding:.3e}, "
@@ -346,52 +322,47 @@ def cmd_grad_check(args, params, seed):
     )
     if args.output:
         _write_csv(
-            _out_dir(args.output) / "grad_check.csv",
+            args.output / "grad_check.csv",
             [f.name for f in fields(report)] + ["passed"],
             [[*astuple(report), report.passed]],
         )
+        outputs.append(args.output / "grad_check.csv")
     return 0 if report.passed else 1
 
 
-def cmd_approx_error(args, params, seed):
-    out = _out_dir(args.output)
-    config = dict(_spelled(params), data=str(args.data), seed=seed)
+def cmd_approx_error(args, params, seed, outputs):
     taus = params["taus"]
-    with _manifest(out / "manifest.json", "approx-error", config, seed) as outputs:
-        sweep = approx_error_sweep(load_features_csv(args.data), **params, seed=seed)
-        rows = [[tau, step, err] for tau in taus for step, err in enumerate(sweep[tau])]
-        _write_csv(out / "approx_error.csv", ("tau", "step", "ap_error"), rows)
-        outputs.append(out / "approx_error.csv")
-        if args.plot:
-            path = out / "plot_approx_error.svg"
-            line_chart(
-                path,
-                list(range(params["steps"])),
-                {f"tau={tau:g}": sweep[tau] for tau in taus},
-                "AP approximation error per training batch",
-                "step",
-                "ap_error",
-            )
-            outputs.append(path)
+    sweep = approx_error_sweep(load_features_csv(args.data), **params, seed=seed)
+    rows = [[tau, step, err] for tau in taus for step, err in enumerate(sweep[tau])]
+    _write_csv(args.output / "approx_error.csv", ("tau", "step", "ap_error"), rows)
+    outputs.append(args.output / "approx_error.csv")
+    if args.plot:
+        path = args.output / "plot_approx_error.svg"
+        line_chart(
+            path,
+            list(range(params["steps"])),
+            {f"tau={tau:g}": sweep[tau] for tau in taus},
+            "AP approximation error per training batch",
+            "step",
+            "ap_error",
+        )
+        outputs.append(path)
     for tau in taus:
         print(f"tau={tau:g}: mean ap_error {float(np.mean(sweep[tau])):.5f}")
     return 0
 
 
-def cmd_region_sweep(args, params, seed):
-    out = _out_dir(args.output)
-    config = dict(_spelled(params), data=str(args.data), seed=seed)
+def cmd_region_sweep(args, params, seed, outputs):
     sizes = params["batch_sizes"]
-    with _manifest(out / "manifest.json", "region-sweep", config, seed) as outputs:
-        sweep = operating_region_sweep(load_features_csv(args.data), **params, seed=seed)
-        rows = [[b, sweep[b]] for b in sizes]
-        _write_csv(out / "region_sweep.csv", ("batch_size", "mean_operating_region"), rows)
-        outputs.append(out / "region_sweep.csv")
-        if args.plot:
-            path = out / "plot_region_sweep.svg"
-            line_chart(path, sizes, {"P": [sweep[b] for b in sizes]},
-                       "Operating-region fraction vs batch size", "batch size", "P")
-            outputs.append(path)
+    sweep = operating_region_sweep(load_features_csv(args.data), **params, seed=seed)
+    rows = [[b, sweep[b]] for b in sizes]
+    _write_csv(args.output / "region_sweep.csv", ("batch_size", "mean_operating_region"), rows)
+    outputs.append(args.output / "region_sweep.csv")
+    if args.plot:
+        path = args.output / "plot_region_sweep.svg"
+        line_chart(path, sizes, {"P": [sweep[b] for b in sizes]},
+                   "Operating-region fraction vs batch size", "batch size", "P")
+        outputs.append(path)
     for b in sizes:
         print(f"B={b}: mean P {sweep[b]:.4f}")
     return 0
@@ -433,8 +404,8 @@ def build_parser():
                                help=f"default: {default}")
         p.add_argument("--seed", help=f"random seed (falls back to ${SEED_ENV_VAR}, then 0)")
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("-o", "--out", dest="output", required=command != "grad-check",
-                       help="output path")
+        p.add_argument("-o", "--out", dest="output", type=Path,
+                       required=command != "grad-check", help="output path")
         if command in ("train", "approx-error", "region-sweep"):
             p.add_argument("--plot", action="store_true", help="also write SVG charts")
     sub.choices["eval"].add_argument("--checkpoint", help="encoder.bin; default a fresh encoder")
@@ -451,7 +422,17 @@ def main(argv=None):
             path = getattr(args, what, None)
             if path and not Path(path).exists():
                 raise UsageError(f"{what} not found: {path}")
-        return args.func(args, params, seed)
+        if args.output is None:  # grad-check without -o writes nothing
+            return args.func(args, params, seed, [])
+        if args.command == "gen-data":
+            manifest = Path(f"{args.output}.manifest.json")
+        else:
+            args.output.mkdir(parents=True, exist_ok=True)
+            manifest = args.output / "manifest.json"
+        given = {k: getattr(args, k, None) for k in ("data", "checkpoint", "param", "values")}
+        config = dict(params, seed=seed, **{k: v for k, v in given.items() if v})
+        with _manifest(manifest, args.command, config, seed) as outputs:
+            return args.func(args, params, seed, outputs)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

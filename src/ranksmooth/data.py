@@ -99,11 +99,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Batch size, instances per sampled class, and the sampling seed."""
+    """Batch size and instances per sampled class; SamplerState seeds the draws."""
 
     batch_size: int
     per_class: int
-    seed: int
 
     def __post_init__(self):
         if self.batch_size < 1 or self.per_class < 1:

@@ -105,8 +105,11 @@ class TrainConfig:
         # fails here and not at the first training step.
         self.smooth_ap
         self.sampler
-        TripletConfig(self.triplet_margin)
-        TripletConfig(self.contrastive_margin)
+        for name in ("triplet_margin", "contrastive_margin"):
+            try:
+                TripletConfig(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
     @property
     def smooth_ap(self):
@@ -117,7 +120,7 @@ class TrainConfig:
     @property
     def sampler(self):
         """The class-balanced batch sampler's config."""
-        return SamplerConfig(self.batch_size, self.per_class, self.seed)
+        return SamplerConfig(self.batch_size, self.per_class)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,14 @@ import inspect
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ranksmooth import cli
 from ranksmooth.cli import main
-from ranksmooth.encoder import load_encoder
+from ranksmooth.encoder import init_encoder, load_encoder, save_encoder
 from ranksmooth.experiments import approx_error_sweep, operating_region_sweep
 
 
@@ -72,7 +73,7 @@ class TestGenData:
         manifest = json.loads((tmp_path / "ds.csv.manifest.json").read_text())
         assert manifest["command"] == "gen-data"
         assert manifest["seed"] == 7
-        assert manifest["config"]["classes"] == 10
+        assert manifest["config"]["num_classes"] == 10
         assert manifest["finished_at"] is not None
 
     def test_signal_dim_zero_means_isotropic(self, tmp_path):
@@ -125,7 +126,7 @@ class TestTrain:
         assert cfg["loss"] == "smooth-ap"
         assert cfg["tau"] == 0.05
         assert cfg["batch_size"] == 8
-        assert cfg["data"]["path"] == str(dataset_csv)
+        assert cfg["data"] == str(dataset_csv)
         assert manifest["outputs"]
 
     def test_manifest_written_before_compute(self, tmp_path, dataset_csv):
@@ -157,6 +158,22 @@ class TestTrain:
         assert manifest["finished_at"] is not None
         assert manifest["status"] == "failed"
         assert "classes" in manifest["error"]
+        assert manifest["error"] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["train", "--lr", "-1"], "lr must be positive"),
+            (["ablate", "--param", "lr", "--values", "1e-3,-1"], "lr must be positive"),
+            (["eval", "--d-out", "0"], "d_out must be positive"),
+        ],
+    )
+    def test_rejected_value_leaves_failed_manifest(self, tmp_path, dataset_csv, capsys, argv, error):
+        out = tmp_path / "o"
+        assert main(argv + ["--data", str(dataset_csv), "-o", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert error in manifest["error"]
         assert manifest["error"] in capsys.readouterr().err
 
     def test_diverging_run_manifest_names_the_step(self, tmp_path, dataset_csv, capsys):
@@ -379,6 +396,14 @@ class TestGradCheckCommand:
         assert lines[1].endswith(",1")
 
 
+    def test_report_manifest_lists_csv(self, tmp_path, capsys):
+        out = tmp_path / "gc"
+        assert main(["grad-check", "--m", "8", "-o", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["outputs"] == [str(out / "grad_check.csv")]
+
+
 class TestDiagnosticsCommands:
     def test_approx_error_csv(self, tmp_path, dataset_csv):
         out = tmp_path / "approx"
@@ -522,3 +547,37 @@ class TestFlagsFollowLibrary:
             got = passed.get(param.name, param.default)
             got = tuple(got) if isinstance(got, list) else got
             assert got == param.default, param.name
+
+
+class TestManifestConfig:
+    """Every subcommand's manifest config is keyed by the library's
+    parameter names, plus the seed and the path flags the run was given."""
+
+    @pytest.mark.parametrize(
+        "argv, given",
+        [
+            (["gen-data", "--classes", "3", "--dim", "4", "--signal-dim", "2"], ()),
+            (["train", "--data", "{csv}", "--batch", "8", "--per-class", "2", "--steps", "1",
+              "--d-out", "6", "--test-fraction", "0.3"], ("data",)),
+            (["eval", "--data", "{csv}", "--checkpoint", "{encoder}"], ("data", "checkpoint")),
+            (["ablate", "--data", "{csv}", "--param", "batch", "--values", "8",
+              "--per-class", "2", "--steps", "1", "--d-out", "6", "--test-fraction", "0.3"],
+             ("data", "param", "values")),
+            (["grad-check", "--m", "8", "--d", "4"], ()),
+            (["approx-error", "--data", "{csv}", "--taus", "0.1", "--steps", "1", "--batch", "8",
+              "--per-class", "2", "--d-out", "6"], ("data",)),
+            (["region-sweep", "--data", "{csv}", "--batch-sizes", "4", "--repeats", "1",
+              "--d-out", "6"], ("data",)),
+        ],
+    )
+    def test_keys_are_library_names(self, tmp_path, dataset_csv, capsys, argv, given):
+        encoder = tmp_path / "encoder.bin"
+        save_encoder(encoder, init_encoder(12, 16, seed=0))
+        command = argv[0]
+        out = tmp_path / "o"
+        argv = [arg.format(csv=dataset_csv, encoder=encoder) for arg in argv]
+        assert main(argv + ["-o", str(out)]) == 0
+        manifest = Path(f"{out}.manifest.json") if command == "gen-data" else out / "manifest.json"
+        config = json.loads(manifest.read_text())["config"]
+        assert set(config) == set(cli.COMMANDS[command][1]) | {"seed", *given}
+        assert not set(config) & set(cli.SPELLING.values())

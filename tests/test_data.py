@@ -187,7 +187,7 @@ class TestSplitByClass:
 class TestSampler:
     def test_composition(self):
         ds = gen_synthetic_clusters(6, 5, 4, 0.1, seed=13)
-        idx, state = next_batch(ds, SamplerConfig(8, 4, seed=0), SamplerState(0))
+        idx, state = next_batch(ds, SamplerConfig(8, 4), SamplerState(0))
         assert idx.shape == (8,)
         ids, counts = np.unique(ds.class_ids[idx], return_counts=True)
         assert len(ids) == 2
@@ -196,7 +196,7 @@ class TestSampler:
 
     def test_counts_always_exact(self):
         ds = gen_synthetic_clusters(7, 6, 4, 0.1, seed=14)
-        cfg = SamplerConfig(12, 3, seed=5)
+        cfg = SamplerConfig(12, 3)
         state = SamplerState(5)
         for _ in range(50):
             idx, state = next_batch(ds, cfg, state)
@@ -206,7 +206,7 @@ class TestSampler:
 
     def test_deterministic_per_state(self):
         ds = gen_synthetic_clusters(6, 5, 4, 0.1, seed=15)
-        cfg = SamplerConfig(8, 2, seed=9)
+        cfg = SamplerConfig(8, 2)
         a, _ = next_batch(ds, cfg, SamplerState(9, counter=4))
         b, _ = next_batch(ds, cfg, SamplerState(9, counter=4))
         assert np.array_equal(a, b)
@@ -216,15 +216,15 @@ class TestSampler:
     def test_insufficient_classes_error(self):
         ds = gen_synthetic_clusters(3, 4, 4, 0.1, seed=16)
         with pytest.raises(SamplerError):
-            next_batch(ds, SamplerConfig(16, 4, seed=0), SamplerState(0))
+            next_batch(ds, SamplerConfig(16, 4), SamplerState(0))
 
     def test_divisibility_validated(self):
         with pytest.raises(ValueError, match="divide"):
-            SamplerConfig(10, 4, seed=0)
+            SamplerConfig(10, 4)
 
     def test_uniform_class_frequency(self):
         ds = gen_synthetic_clusters(20, 6, 4, 0.1, seed=17)
-        cfg = SamplerConfig(16, 4, seed=123)
+        cfg = SamplerConfig(16, 4)
         state = SamplerState(123)
         counts = np.zeros(20)
         n_batches = 10_000

@@ -67,6 +67,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=match):
             tiny_config(**overrides)
 
+    @pytest.mark.parametrize("name", ["triplet_margin", "contrastive_margin"])
+    def test_bad_margin_names_its_field(self, name):
+        with pytest.raises(ValueError, match=f"^{name}: margin must be nonnegative, got -1.0$"):
+            tiny_config(**{name: -1.0})
+
     def test_synthetic_spec_checked_at_construction(self):
         # The default signal_dim 16 does not fit in 12 dimensions.
         with pytest.raises(ValueError, match=r"signal_dim must be in \[1, 12\], got 16"):
