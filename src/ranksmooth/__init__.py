@@ -44,7 +44,6 @@ from .experiments import (
     ablate,
     approx_error_sweep,
     grad_check,
-    loss_timing,
     operating_region_sweep,
     train,
 )

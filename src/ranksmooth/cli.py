@@ -6,10 +6,11 @@ seed, git describe, environment, timestamps) before any compute starts:
 -o/manifest.json, or <csv>.manifest.json beside gen-data's file. Its
 config is keyed by the library's parameter names, plus the seed and the
 --data, --checkpoint, --param and --values given. The run's end adds its
-status ("ok" or "failed"), the error and the files written. An error in
-the flags, the config file or the input paths comes before the run and
-leaves no manifest. CSV outputs are deterministic given identical flags
-and seed; wall-clock timings go to a separate timings.csv sidecar.
+status ("ok" or "failed", as for a grad check that fails), the error and
+the files written. An error in the flags, the config file or the input
+paths comes before the run and leaves no manifest. CSV outputs are
+deterministic given identical flags and seed; wall-clock timings go to a
+separate timings.csv sidecar.
 
 Each subcommand takes its options and their defaults from the library
 object it calls: gen-data from SyntheticSpec, train and ablate from
@@ -82,6 +83,10 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 
 class UsageError(ValueError):
     """Bad flags or unusable input files; exits with status 2."""
+
+
+class CheckFailed(Exception):
+    """A diagnostic ran and failed its check; exits with status 1."""
 
 
 def _key(name):
@@ -225,8 +230,8 @@ def _environment():
 @contextmanager
 def _manifest(path, command, config, seed):
     """Write the manifest, yield the list the run appends its files to, and
-    on leaving rewrite it with finished_at and the status: "ok" with the
-    files, or "failed" with the error message and no files."""
+    on leaving rewrite it with finished_at, the files written and the
+    status: "ok", or "failed" with the error message."""
     stamp = partial(time.strftime, "%Y-%m-%dT%H:%M:%S%z")
     body = dict(command=command, config=config, seed=seed, git_describe=_git_describe(),
                 environment=_environment(), started_at=stamp(), finished_at=None,
@@ -239,18 +244,19 @@ def _manifest(path, command, config, seed):
     outputs = []
     try:
         yield outputs
-        body.update(status="ok", outputs=[str(p) for p in outputs])
+        body["status"] = "ok"
     except BaseException as exc:
         body.update(status="failed", error=str(exc) or type(exc).__name__)
         raise
     finally:
-        body["finished_at"] = stamp()
+        body.update(finished_at=stamp(), outputs=[str(p) for p in outputs])
         write()
 
 
 # ---------------------------------------------------------------------------
 # subcommands: each takes the parsed args, the resolved parameters of its
-# option table, the seed, and the manifest's list of the files it writes.
+# option table, the seed, and the manifest's list of the files it writes,
+# and fails by raising.
 
 def cmd_gen_data(args, params, seed, outputs):
     # signal_dim 0 asks for fully isotropic means (None in the library).
@@ -259,7 +265,6 @@ def cmd_gen_data(args, params, seed, outputs):
     save_features_csv(args.output, ds)
     outputs.append(args.output)
     print(f"wrote {len(ds)} rows to {args.output}")
-    return 0
 
 
 def cmd_train(args, params, seed, outputs):
@@ -279,7 +284,6 @@ def cmd_train(args, params, seed, outputs):
             outputs.append(path)
     final = result.final
     print(f"final step {final.step}: test mAP {final.test_map:.4f}, loss {final.train_loss:.4f}")
-    return 0
 
 
 def cmd_eval(args, params, seed, outputs):
@@ -296,7 +300,6 @@ def cmd_eval(args, params, seed, outputs):
     _write_csv(args.output / "metrics.csv", METRIC_COLUMNS, [_metric_row(record)])
     outputs.append(args.output / "metrics.csv")
     print(f"mAP {record.test_map:.4f}, recall@1 {record.recall_at_1:.4f} over {len(ds)} instances")
-    return 0
 
 
 def cmd_ablate(args, params, seed, outputs):
@@ -310,7 +313,6 @@ def cmd_ablate(args, params, seed, outputs):
     outputs.append(args.output / "summary.csv")
     for row in rows:
         print(f"{args.param}={row[0]}: test mAP {row[3]:.4f}")
-    return 0
 
 
 def cmd_grad_check(args, params, seed, outputs):
@@ -327,7 +329,11 @@ def cmd_grad_check(args, params, seed, outputs):
             [[*astuple(report), report.passed]],
         )
         outputs.append(args.output / "grad_check.csv")
-    return 0 if report.passed else 1
+    if not report.passed:
+        raise CheckFailed(
+            f"max relative error {report.max_rel_error:.3e} is not below the "
+            f"tolerance {report.tolerance:.1e}"
+        )
 
 
 def cmd_approx_error(args, params, seed, outputs):
@@ -349,7 +355,6 @@ def cmd_approx_error(args, params, seed, outputs):
         outputs.append(path)
     for tau in taus:
         print(f"tau={tau:g}: mean ap_error {float(np.mean(sweep[tau])):.5f}")
-    return 0
 
 
 def cmd_region_sweep(args, params, seed, outputs):
@@ -365,7 +370,6 @@ def cmd_region_sweep(args, params, seed, outputs):
         outputs.append(path)
     for b in sizes:
         print(f"B={b}: mean P {sweep[b]:.4f}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +427,8 @@ def main(argv=None):
             if path and not Path(path).exists():
                 raise UsageError(f"{what} not found: {path}")
         if args.output is None:  # grad-check without -o writes nothing
-            return args.func(args, params, seed, [])
+            args.func(args, params, seed, [])
+            return 0
         if args.command == "gen-data":
             manifest = Path(f"{args.output}.manifest.json")
         else:
@@ -432,7 +437,10 @@ def main(argv=None):
         given = {k: getattr(args, k, None) for k in ("data", "checkpoint", "param", "values")}
         config = dict(params, seed=seed, **{k: v for k, v in given.items() if v})
         with _manifest(manifest, args.command, config, seed) as outputs:
-            return args.func(args, params, seed, outputs)
+            args.func(args, params, seed, outputs)
+        return 0
+    except CheckFailed:  # the subcommand printed its verdict
+        return 1
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ from .encoder import (
     init_encoder,
     param_arrays,
 )
-from .ranking import EmbeddingBatch, map_and_recall
+from .ranking import DegenerateQueryError, EmbeddingBatch, map_and_recall
 from .smoothap import (
     SmoothApConfig,
     batch_ap_error,
@@ -56,7 +56,6 @@ __all__ = [
     "grad_check",
     "approx_error_sweep",
     "operating_region_sweep",
-    "loss_timing",
 ]
 
 LOSS_KINDS = ("smooth-ap", "triplet", "contrastive")
@@ -431,18 +430,15 @@ def operating_region_sweep(dataset, batch_sizes=(32, 64, 128, 256), *, tau=Train
             raise ValueError(f"batch size {b} out of range for dataset of {len(dataset)}")
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    orders = [
-        np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, rep]).permutation(len(dataset))
-        for rep in range(repeats)
-    ]
+    orders = [SamplerState(seed, rep).rng().permutation(len(dataset)) for rep in range(repeats)]
 
     def loss_fn(batch):
-        _, counts = np.unique(batch.class_ids, return_counts=True)
-        if not (counts >= 2).any():
-            return None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return smooth_ap_loss(batch, diag, allow_degenerate=True)
+            try:
+                return smooth_ap_loss(batch, diag, allow_degenerate=True)
+            except DegenerateQueryError:  # no row has a positive
+                return None
 
     out = {}
     for b in batch_sizes:
@@ -456,35 +452,3 @@ def operating_region_sweep(dataset, batch_sizes=(32, 64, 128, 256), *, tau=Train
             )
         out[b] = float(np.mean(fractions))
     return out
-
-
-def loss_timing(batch_sizes, *, repeats=7):
-    """Minimum wall time (ms) of the smoothed-AP loss per batch size.
-
-    Uses random 16-dimensional unit embeddings (seed 0) with 4 instances
-    per class, the default tau and two warmup evaluations per size, then
-    the minimum of the timed repeats: other processes on the machine only
-    ever add time, so the fastest repeat is the one closest to the loss's
-    own cost. The sizes are timed round-robin within each repeat so a
-    transient system stall lands on every size of that repeat rather than
-    skewing one of them.
-    """
-    cfg, per_class = SmoothApConfig(), 4
-    rng = np.random.default_rng(0)
-    batches = {}
-    for m in batch_sizes:
-        if m < 2 or m % per_class != 0:
-            raise ValueError(f"batch size {m} must be a multiple of per_class {per_class}")
-        x = rng.normal(size=(m, 16))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        batches[m] = EmbeddingBatch(x, np.repeat(np.arange(m // per_class), per_class))
-    times = {m: [] for m in batch_sizes}
-    for m in batch_sizes:
-        for _ in range(2):
-            smooth_ap_loss(batches[m], cfg)
-    for _ in range(repeats):
-        for m in batch_sizes:
-            t0 = time.perf_counter()
-            smooth_ap_loss(batches[m], cfg)
-            times[m].append((time.perf_counter() - t0) * 1000.0)
-    return {m: min(times[m]) for m in batch_sizes}

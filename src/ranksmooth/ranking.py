@@ -33,8 +33,9 @@ __all__ = [
 
 _UNIT_NORM_TOL = 1e-9
 
-# Elements per scratch array of a block of query rows, kept cache-sized.
-_BLOCK_ELEMENTS = 4096
+# Elements per scratch array of a block of query rows: few full-size blocks
+# amortize the per-block overhead that a cache-sized budget pays many times.
+_BLOCK_ELEMENTS = 32768
 
 
 class DegenerateLabelsError(ValueError):
@@ -237,15 +238,14 @@ def _exact_metrics(batch, valid, ks):
     return float(np.mean(ap)), {k: hits[k] / ap.size for k in ks}
 
 
-def _query_blocks(sims, class_ids, valid, row_elements, budget=_BLOCK_ELEMENTS):
+def _query_blocks(sims, class_ids, valid, row_elements):
     """The valid queries in blocks of rows that share a positive count.
 
     sims is the (m, m) score matrix of a batch with the given class ids.
     Yields (at, scores, labels) per block: the block's positions among the
     valid queries, and each query's scores and positive labels against the
     batch's other rows in index order, as (rows, m - 1) arrays. A block
-    holds at most budget // row_elements(num_pos) rows, so the scratch of
-    every block stays cache-sized.
+    holds at most max(1, _BLOCK_ELEMENTS // row_elements(num_pos)) rows.
     """
     m = len(sims)
     queries = np.flatnonzero(valid)
@@ -254,7 +254,7 @@ def _query_blocks(sims, class_ids, valid, row_elements, budget=_BLOCK_ELEMENTS):
     cols = np.arange(m)
     for p in np.unique(num_pos):
         group = np.flatnonzero(num_pos == p)
-        step = max(1, budget // row_elements(int(p)))
+        step = max(1, _BLOCK_ELEMENTS // row_elements(int(p)))
         for start in range(0, group.size, step):
             at = group[start : start + step]
             q = queries[at]

@@ -49,9 +49,6 @@ __all__ = [
     "operating_region_halfwidth",
 ]
 
-# Elements per difference block of the loss: its few full-size blocks
-# amortize the per-block overhead that a cache-sized budget pays many times.
-_LOSS_BLOCK_ELEMENTS = 32768
 
 @dataclass(frozen=True)
 class SmoothApConfig:
@@ -182,8 +179,7 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
     ap = np.empty(queries.size)
     score_grad = np.zeros((m, m))
     cols = np.arange(m - 1)
-    blocks = _query_blocks(sims, batch.class_ids, valid, lambda p: p * (m - 1), _LOSS_BLOCK_ELEMENTS)
-    for at, scores, labels in blocks:
+    for at, scores, labels in _query_blocks(sims, batch.class_ids, valid, lambda p: p * (m - 1)):
         numer, denom, g, gprime, pos_at = _smooth_ap_block(scores, labels, cfg.tau)
         ap[at] = np.mean(numer / denom, axis=1)
 

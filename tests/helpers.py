@@ -14,13 +14,18 @@ be held to them with ==. The smoothed-AP score gradient is the exception:
 its dense m x m reference sums in another order, so it is held to a
 tolerance. So are the operating region's dense per-query fractions and its
 half-width by bisection, which the library reads from a closed form.
+
+loss_timing is the wall-clock measurement behind the complexity-scaling
+acceptance criterion.
 """
+
+import time
 
 import numpy as np
 
 from ranksmooth.linalg import normalize_rows, similarity_backward
 from ranksmooth.ranking import EmbeddingBatch
-from ranksmooth.smoothap import sigmoid, sigmoid_grad
+from ranksmooth.smoothap import SmoothApConfig, sigmoid, sigmoid_grad, smooth_ap_loss
 
 
 def precision_at_hit_ap(scores, labels):
@@ -252,3 +257,35 @@ def per_anchor_triplet(batch, margin):
     total /= count
     score_grad /= count
     return float(total), score_grad, similarity_backward(unit, norms, score_grad)
+
+
+def loss_timing(batch_sizes, *, repeats=7):
+    """Minimum wall time (ms) of the smoothed-AP loss per batch size.
+
+    Uses random 16-dimensional unit embeddings (seed 0) with 4 instances
+    per class, the default tau and two warmup evaluations per size, then
+    the minimum of the timed repeats: other processes on the machine only
+    ever add time, so the fastest repeat is the one closest to the loss's
+    own cost. The sizes are timed round-robin within each repeat so a
+    transient system stall lands on every size of that repeat rather than
+    skewing one of them.
+    """
+    cfg, per_class = SmoothApConfig(), 4
+    rng = np.random.default_rng(0)
+    batches = {}
+    for m in batch_sizes:
+        if m < 2 or m % per_class != 0:
+            raise ValueError(f"batch size {m} must be a multiple of per_class {per_class}")
+        x = rng.normal(size=(m, 16))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        batches[m] = EmbeddingBatch(x, np.repeat(np.arange(m // per_class), per_class))
+    times = {m: [] for m in batch_sizes}
+    for m in batch_sizes:
+        for _ in range(2):
+            smooth_ap_loss(batches[m], cfg)
+    for _ in range(repeats):
+        for m in batch_sizes:
+            t0 = time.perf_counter()
+            smooth_ap_loss(batches[m], cfg)
+            times[m].append((time.perf_counter() - t0) * 1000.0)
+    return {m: min(times[m]) for m in batch_sizes}

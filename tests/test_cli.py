@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -403,6 +404,23 @@ class TestGradCheckCommand:
         assert manifest["status"] == "ok"
         assert manifest["outputs"] == [str(out / "grad_check.csv")]
 
+    def test_failed_check_manifest_records_failure(self, tmp_path, capsys):
+        out = tmp_path / "gc"
+        code = main(
+            [
+                "grad-check", "--m", "8", "--d", "4", "--tau", "1.0",
+                "--tolerance", "1e-30", "-o", str(out),
+            ]
+        )
+        assert code == 1
+        assert "FAIL" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("max relative error ")
+        assert manifest["error"].endswith("is not below the tolerance 1.0e-30")
+        assert manifest["outputs"] == [str(out / "grad_check.csv")]
+        assert (out / "grad_check.csv").read_text().splitlines()[1].endswith(",0")
+
 
 class TestDiagnosticsCommands:
     def test_approx_error_csv(self, tmp_path, dataset_csv):
@@ -485,6 +503,41 @@ class TestDiagnosticsCommands:
             )
             outs.append((out / "region_sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestBlasThreads:
+    """Run files do not depend on the BLAS thread count. With OpenBLAS
+    0.3.31 on 2 cores, the Gram product of 500 unit 16-d rows (the default
+    data's test split) changes bits between 1 and 2 threads; a batch of 512
+    is the large-batch case."""
+
+    @pytest.mark.parametrize(
+        "data_args, train_args",
+        [
+            ((), ("--steps", "50")),
+            (("--classes", "200", "--per-class", "16"),
+             ("--batch", "512", "--per-class", "8", "--steps", "20")),
+        ],
+        ids=["eval-500", "batch-512"],
+    )
+    def test_train_files_identical_across_thread_counts(self, tmp_path, data_args, train_args):
+        data = tmp_path / "data.csv"
+        assert main(["gen-data", *data_args, "-o", str(data)]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        files = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "ranksmooth.cli", "train", "--data", str(data),
+                 *train_args, "-o", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["environment"]["OPENBLAS_NUM_THREADS"] == threads
+            files[threads] = [(out / name).read_bytes() for name in ("metrics.csv", "encoder.bin")]
+        assert files["1"] == files["2"]
 
 
 class TestFlagsFollowLibrary:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import loss_timing
 from ranksmooth import experiments
 from ranksmooth.data import gen_synthetic_clusters
 from ranksmooth.experiments import (
@@ -12,7 +13,6 @@ from ranksmooth.experiments import (
     ablate,
     approx_error_sweep,
     grad_check,
-    loss_timing,
     operating_region_sweep,
     train,
 )
