@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import normalize_rows, similarity_backward
-from .ranking import DegenerateQueryError, queries_with_positives
+from .ranking import DegenerateQueryError, _query_blocks, queries_with_positives
 from .smoothap import LossOutput
 
 __all__ = ["TripletConfig", "triplet_loss", "contrastive_loss", "violating_terms"]
@@ -34,35 +34,33 @@ def triplet_loss(batch, cfg, allow_degenerate=False):
 
     Scores are cosine similarities to the anchor; each triple contributes
     max(s_neg - s_pos + margin, 0), and the mean runs over every valid
-    triple in the batch.
+    triple in the batch. Anchors that share a positive count form dense
+    (anchors, |P|, |N|) hinge blocks over the query blocks of
+    ranking._query_blocks, as the smoothed-AP loss does.
     """
     unit, norms = normalize_rows(batch.vectors)
     m = len(batch)
     sims = unit @ unit.T
-    usable = queries_with_positives(batch.class_ids, allow_degenerate, "triplet_loss")
+    num_pos = queries_with_positives(batch.class_ids, allow_degenerate, "triplet_loss")
     if (batch.class_ids == batch.class_ids[0]).all():  # no anchor has a negative
         raise DegenerateQueryError(int(batch.class_ids[0]))
-    same = batch.class_ids[None, :] == batch.class_ids[:, None]
-    negatives = ~same
-    np.fill_diagonal(same, False)
-    # Anchors with |P| positives all have m - 1 - |P| negatives, so the
-    # anchors of one class size form one dense (anchors, |P|, |N|) hinge
-    # block, each anchor's columns in ascending order.
-    num_pos = same.sum(axis=1)
-    count = int((num_pos * (m - 1 - num_pos))[usable].sum())
+    anchors = np.flatnonzero(num_pos)
     score_grad = np.zeros((m, m))
-    total = 0.0
-    for size in np.unique(num_pos[usable]):
-        anchors = np.flatnonzero(usable & (num_pos == size))
-        pos = np.nonzero(same[anchors])[1].reshape(anchors.size, size)
-        neg = np.nonzero(negatives[anchors])[1].reshape(anchors.size, -1)
-        s_pos = np.take_along_axis(sims[anchors], pos, axis=1)
-        s_neg = np.take_along_axis(sims[anchors], neg, axis=1)
+    cols = np.arange(m - 1)
+    total, count = 0.0, 0
+    for at, scores, labels in _query_blocks(sims, batch.class_ids, num_pos, lambda p: p * (m - 1)):
+        # Each anchor's positives and negatives in ascending column order.
+        s_pos = scores[labels].reshape(at.size, -1)
+        s_neg = scores[~labels].reshape(at.size, -1)
         hinge = s_neg[:, None, :] - s_pos[:, :, None] + cfg.margin
         active = hinge > 0
         total += np.maximum(hinge, 0.0).sum()  # logged only, never differentiated
-        score_grad[anchors[:, None], pos] -= active.sum(axis=2)
-        score_grad[anchors[:, None], neg] += active.sum(axis=1)
+        count += hinge.size
+        col_grad = np.empty(labels.shape)
+        col_grad[labels] = -active.sum(axis=2).ravel()
+        col_grad[~labels] = active.sum(axis=1).ravel()
+        q = anchors[at][:, None]
+        score_grad[q, cols + (cols >= q)] = col_grad
     total /= count
     score_grad /= count
 
@@ -70,7 +68,7 @@ def triplet_loss(batch, cfg, allow_degenerate=False):
     return LossOutput(loss=float(total), score_grad=score_grad, embedding_grad=embedding_grad)
 
 
-def contrastive_loss(batch, margin=0.5, allow_degenerate=False):
+def contrastive_loss(batch, margin, allow_degenerate=False):
     """Pairwise contrastive loss in cosine form.
 
     Mean over positive pairs of (1 - s) plus mean over negative pairs of

@@ -268,8 +268,7 @@ def split_by_class(dataset, test_fraction, seed):
     order = rng.permutation(classes)
     n_test = int(round(test_fraction * classes.size))
     n_test = min(max(n_test, 1), classes.size - 1)
-    test_classes = set(int(c) for c in order[:n_test])
-    test_mask = np.asarray([int(c) in test_classes for c in dataset.class_ids])
+    test_mask = np.isin(dataset.class_ids, order[:n_test])
     return _subset(dataset, ~test_mask), _subset(dataset, test_mask)
 
 

@@ -84,7 +84,7 @@ class TrainConfig:
     d_out: int = 16
     hidden_dim: int | None = None
     bias: bool = False
-    triplet_margin: float = 0.1
+    triplet_margin: float = TripletConfig.margin
     contrastive_margin: float = 0.5
     grad_threshold: float = SmoothApConfig.grad_threshold
 
@@ -305,17 +305,12 @@ def _max_rel_error(analytic, numeric):
 
 
 def _fd_grad(fn, x, step):
-    grad = np.zeros_like(x, dtype=np.float64)
-    flat = grad.reshape(-1)
-    base = x.astype(np.float64).copy()
-    for i in range(base.size):
-        orig = base.reshape(-1)[i]
-        base.reshape(-1)[i] = orig + step
-        up = fn(base)
-        base.reshape(-1)[i] = orig - step
-        down = fn(base)
-        base.reshape(-1)[i] = orig
-        flat[i] = (up - down) / (2.0 * step)
+    grad = np.zeros(x.shape)
+    for i in range(x.size):
+        up, down = x.astype(np.float64), x.astype(np.float64)
+        up.flat[i] += step
+        down.flat[i] -= step
+        grad.flat[i] = (fn(up) - fn(down)) / (2.0 * step)
     return grad
 
 

@@ -8,8 +8,11 @@ Ties are broken by ascending original index (a proper ranking), and every
 batch-level evaluation removes the query from its own retrieval set. Every
 ranking is read from one stable descending sort (_descending_order), so a
 query costs O(m log m) and mean AP over N queries O(N^2 log N). Batch
-metrics rank a block of query rows per sort call (_query_blocks), with the
-same numbers as one query at a time.
+metrics rank a block of query rows per sort call, with the same numbers as
+one query at a time. Every batch kernel that ranks queries (the exact
+metrics, the smoothed-AP and triplet losses and the AP-error diagnostic)
+reads its blocks from one iterator, _query_blocks, over the positive
+counts that queries_with_positives takes once per call.
 """
 
 import warnings
@@ -164,27 +167,28 @@ def _ranked_ap(scores, labels):
 
 
 def queries_with_positives(class_ids, allow_degenerate, context):
-    """Mask of the batch rows whose class has another row in the batch.
+    """Each batch row's positive count: the other rows of its class, which
+    are its positives as a query. A count of 0 marks a row with no positive
+    set, which is not a query.
 
-    The other rows are a query's positives; a row without any has no
-    positive set. Such rows raise DegenerateQueryError naming the class of
-    the first of them, or with allow_degenerate are left out of the mask
-    with a warning. A batch where no row has a positive always raises.
+    Such rows raise DegenerateQueryError naming the class of the first of
+    them, or with allow_degenerate are left at 0 with a warning. A batch
+    where no row has a positive always raises.
     """
     _, inverse, counts = np.unique(class_ids, return_inverse=True, return_counts=True)
-    valid = counts[inverse] >= 2
-    if not valid.all():
-        first = int(class_ids[np.argmin(valid)])
+    num_pos = counts[inverse] - 1
+    if not num_pos.all():
+        first = int(class_ids[np.argmin(num_pos)])
         if not allow_degenerate:
             raise DegenerateQueryError(first)
         warnings.warn(
-            f"{context}: skipping {int((~valid).sum())} query(ies) with no in-batch "
+            f"{context}: skipping {np.count_nonzero(num_pos == 0)} query(ies) with no in-batch "
             f"positive, e.g. class {first}",
             stacklevel=3,
         )
-    if not valid.any():
+    if not num_pos.any():
         raise DegenerateQueryError(int(class_ids[0]) if class_ids.size else -1)
-    return valid
+    return num_pos
 
 
 def mean_ap(batch, allow_degenerate=False):
@@ -194,8 +198,7 @@ def mean_ap(batch, allow_degenerate=False):
     instance are an error unless allow_degenerate is set, in which case
     their queries are skipped with a warning.
     """
-    valid = queries_with_positives(batch.class_ids, allow_degenerate, "mean_ap")
-    return _exact_metrics(batch, valid, ())[0]
+    return _exact_metrics(batch, (), allow_degenerate, "mean_ap")[0]
 
 
 def recall_at_k(batch, ks, allow_degenerate=False):
@@ -204,53 +207,48 @@ def recall_at_k(batch, ks, allow_degenerate=False):
     Retrieval is by descending score with index tie-breaking, self
     excluded. Every k must be smaller than the batch size.
     """
-    ks = _checked_ks(ks, len(batch))
-    valid = queries_with_positives(batch.class_ids, allow_degenerate, "recall_at_k")
-    return _exact_metrics(batch, valid, ks)[1]
+    return _exact_metrics(batch, ks, allow_degenerate, "recall_at_k")[1]
 
 
 def map_and_recall(batch, ks, allow_degenerate=False):
     """(mean_ap(batch), recall_at_k(batch, ks)), equal to those two calls
     but sorting each query once for both."""
-    ks = _checked_ks(ks, len(batch))
-    valid = queries_with_positives(batch.class_ids, allow_degenerate, "map_and_recall")
-    return _exact_metrics(batch, valid, ks)
+    return _exact_metrics(batch, ks, allow_degenerate, "map_and_recall")
 
 
-def _checked_ks(ks, m):
+def _exact_metrics(batch, ks, allow_degenerate, context):
+    """Mean AP and {k: Recall@k} over the queries with a positive, ranked a
+    block of query rows at a time; APs are averaged in query order."""
+    m = len(batch)
     ks = [int(k) for k in ks]
     for k in ks:
         if k < 1 or k >= m:
             raise ValueError(f"k={k} must satisfy 1 <= k < batch size {m}")
-    return ks
-
-
-def _exact_metrics(batch, valid, ks):
-    """Mean AP and {k: Recall@k} over the valid queries, ranked a block of
-    query rows at a time; APs are averaged in query order."""
-    ap = np.empty(np.count_nonzero(valid))
+    num_pos = queries_with_positives(batch.class_ids, allow_degenerate, context)
+    ap = np.empty(np.count_nonzero(num_pos))
     hits = dict.fromkeys(ks, 0)
     sims = batch.vectors @ batch.vectors.T
-    for at, scores, labels in _query_blocks(sims, batch.class_ids, valid, lambda p: len(sims) - 1):
+    for at, scores, labels in _query_blocks(sims, batch.class_ids, num_pos, lambda p: m - 1):
         first_hit, ap[at] = _ranked_ap(scores, labels)
         for k in ks:
             hits[k] += int(np.count_nonzero(first_hit < k))
     return float(np.mean(ap)), {k: hits[k] / ap.size for k in ks}
 
 
-def _query_blocks(sims, class_ids, valid, row_elements):
-    """The valid queries in blocks of rows that share a positive count.
+def _query_blocks(sims, class_ids, num_pos, row_elements):
+    """The queries in blocks of rows that share a positive count.
 
-    sims is the (m, m) score matrix of a batch with the given class ids.
-    Yields (at, scores, labels) per block: the block's positions among the
-    valid queries, and each query's scores and positive labels against the
-    batch's other rows in index order, as (rows, m - 1) arrays. A block
-    holds at most max(1, _BLOCK_ELEMENTS // row_elements(num_pos)) rows.
+    sims is the (m, m) score matrix of a batch with the given class ids,
+    and num_pos each row's positive count from queries_with_positives; the
+    rows with a nonzero count are the queries. Yields (at, scores, labels)
+    per block: the block's positions among the queries, and each query's
+    scores and positive labels against the batch's other rows in index
+    order, as (rows, m - 1) arrays. A block holds at most
+    max(1, _BLOCK_ELEMENTS // row_elements(p)) rows of positive count p.
     """
     m = len(sims)
-    queries = np.flatnonzero(valid)
-    _, inverse, counts = np.unique(class_ids, return_inverse=True, return_counts=True)
-    num_pos = counts[inverse][queries] - 1
+    queries = np.flatnonzero(num_pos)
+    num_pos = num_pos[queries]
     cols = np.arange(m)
     for p in np.unique(num_pos):
         group = np.flatnonzero(num_pos == p)

@@ -174,12 +174,12 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
     m = len(batch)
     unit, norms = normalize_rows(batch.vectors)
     sims = unit @ unit.T
-    valid = queries_with_positives(batch.class_ids, allow_degenerate, "smooth_ap_loss")
-    queries = np.flatnonzero(valid)
+    num_pos = queries_with_positives(batch.class_ids, allow_degenerate, "smooth_ap_loss")
+    queries = np.flatnonzero(num_pos)
     ap = np.empty(queries.size)
     score_grad = np.zeros((m, m))
     cols = np.arange(m - 1)
-    for at, scores, labels in _query_blocks(sims, batch.class_ids, valid, lambda p: p * (m - 1)):
+    for at, scores, labels in _query_blocks(sims, batch.class_ids, num_pos, lambda p: p * (m - 1)):
         numer, denom, g, gprime, pos_at = _smooth_ap_block(scores, labels, cfg.tau)
         ap[at] = np.mean(numer / denom, axis=1)
 
@@ -212,11 +212,11 @@ def ap_approx_error(scored, cfg):
 def batch_ap_error(batch, cfg, allow_degenerate=False):
     """Mean per-query AP approximation error over a batch (self excluded),
     a block of query rows that share a positive count at a time."""
-    valid = queries_with_positives(batch.class_ids, allow_degenerate, "batch_ap_error")
-    errors = np.empty(np.count_nonzero(valid))
+    num_pos = queries_with_positives(batch.class_ids, allow_degenerate, "batch_ap_error")
+    errors = np.empty(np.count_nonzero(num_pos))
     m = len(batch)
     sims = batch.vectors @ batch.vectors.T
-    for at, scores, labels in _query_blocks(sims, batch.class_ids, valid, lambda p: p * (m - 1)):
+    for at, scores, labels in _query_blocks(sims, batch.class_ids, num_pos, lambda p: p * (m - 1)):
         numer, denom = _smooth_ap_block(scores, labels, cfg.tau)[:2]
         errors[at] = np.abs(np.mean(numer / denom, axis=1) - _ranked_ap(scores, labels)[1])
     return float(np.mean(errors))

@@ -8,7 +8,7 @@ The reference implementations below reach the library's exact and
 smoothed AP through m x m pairwise matrices instead of one sort, batch
 metrics and diagnostics one query at a time instead of a block of query
 rows at a time, and the all-valid triplet loss through one hinge matrix
-per anchor instead of one block per class size, with the same
+per anchor instead of a block of anchors at a time, with the same
 floating-point operations in the same order, so the library's kernels can
 be held to them with ==. The smoothed-AP score gradient is the exception:
 its dense m x m reference sums in another order, so it is held to a

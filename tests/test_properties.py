@@ -289,8 +289,8 @@ def test_next_batch_invariants(case, seed, counter):
 @pytest.mark.parametrize("seed", range(3))
 def test_many_block_batches_equal_per_query_loops(seed):
     """Batches of about 150 rows, large enough that the score rows and
-    most positive counts span several row blocks, with uneven classes
-    including singletons."""
+    most positive counts span several row blocks (of the losses too, for
+    seeds 0 and 1), with uneven classes including singletons."""
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 13, size=24)
     class_ids = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
@@ -303,5 +303,13 @@ def test_many_block_batches_equal_per_query_loops(seed):
         warnings.simplefilter("ignore")
         assert map_and_recall(batch, ks, allow_degenerate=True) == per_query_map_and_recall(batch, ks)
         assert batch_ap_error(batch, cfg, allow_degenerate=True) == full_matrix_ap_error(batch, 0.01)
+        triplet = triplet_loss(batch, TripletConfig(margin=0.1), allow_degenerate=True)
+        smooth_ap = smooth_ap_loss(batch, cfg, allow_degenerate=True).loss
+    loss, score_grad, embedding_grad = per_anchor_triplet(batch, 0.1)
+    assert np.array_equal(triplet.score_grad, score_grad)
+    assert np.array_equal(triplet.embedding_grad, embedding_grad)
+    assert abs(triplet.loss - loss) <= 1e-12
+    aps = [smooth_ap_query(ScoredSet(s, y), cfg) for s, y in per_query_sets(batch)]
+    assert abs(smooth_ap - float(np.mean(1.0 - np.array(aps)))) <= 1e-12
     halfwidth = operating_region_halfwidth(cfg)
     assert batch_operating_region(batch, cfg) == per_query_operating_region(batch, halfwidth)
