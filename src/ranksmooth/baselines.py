@@ -14,7 +14,8 @@ from .linalg import normalize_rows, similarity_backward
 from .ranking import DegenerateQueryError, _query_blocks, queries_with_positives
 from .smoothap import LossOutput
 
-__all__ = ["TripletConfig", "triplet_loss", "contrastive_loss", "violating_terms"]
+__all__ = ["TripletConfig", "SingleClassBatchError", "triplet_loss", "contrastive_loss",
+           "violating_terms"]
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,21 @@ class TripletConfig:
             raise ValueError(f"margin must be nonnegative, got {self.margin}")
 
 
+class SingleClassBatchError(DegenerateQueryError):
+    """A pair loss's batch holds a single class, so no query has a negative."""
+
+    template = "class {} is the only class in the batch; no query has a negative"
+
+
+def _pair_queries(batch, allow_degenerate, context):
+    """queries_with_positives for a pair loss, whose queries also need a
+    negative: a batch of one class has none."""
+    num_pos = queries_with_positives(batch.class_ids, allow_degenerate, context)
+    if num_pos.max() == len(batch) - 1:
+        raise SingleClassBatchError(int(batch.class_ids[0]))
+    return num_pos
+
+
 def triplet_loss(batch, cfg, allow_degenerate=False):
     """Margin hinge loss over (anchor, positive, negative) triples.
 
@@ -41,9 +57,7 @@ def triplet_loss(batch, cfg, allow_degenerate=False):
     unit, norms = normalize_rows(batch.vectors)
     m = len(batch)
     sims = unit @ unit.T
-    num_pos = queries_with_positives(batch.class_ids, allow_degenerate, "triplet_loss")
-    if (batch.class_ids == batch.class_ids[0]).all():  # no anchor has a negative
-        raise DegenerateQueryError(int(batch.class_ids[0]))
+    num_pos = _pair_queries(batch, allow_degenerate, "triplet_loss")
     anchors = np.flatnonzero(num_pos)
     score_grad = np.zeros((m, m))
     cols = np.arange(m - 1)
@@ -77,14 +91,12 @@ def contrastive_loss(batch, margin, allow_degenerate=False):
     TripletConfig(margin)  # rejects a negative margin
     unit, norms = normalize_rows(batch.vectors)
     m = len(batch)
-    queries_with_positives(batch.class_ids, allow_degenerate, "contrastive_loss")
+    _pair_queries(batch, allow_degenerate, "contrastive_loss")
     sims = unit @ unit.T
     iu, ju = np.triu_indices(m, k=1)
     pos = batch.class_ids[iu] == batch.class_ids[ju]
     n_pos = int(pos.sum())
     n_neg = int((~pos).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateQueryError(int(batch.class_ids[0]))
 
     pair_sims = sims[iu, ju]
     neg_hinge = np.maximum(pair_sims[~pos] - margin, 0.0)

@@ -296,7 +296,7 @@ def cmd_eval(args, params, seed, outputs):
     batch = encode(ds.features, ds.class_ids, encoder)
     diag = cfg.smooth_ap
     loss = smooth_ap_loss(batch, diag).loss
-    record = measure(0, loss, batch, encoder, ds, diag, time.perf_counter())
+    record = measure(0, loss, batch, batch, diag, time.perf_counter())
     _write_csv(args.output / "metrics.csv", METRIC_COLUMNS, [_metric_row(record)])
     outputs.append(args.output / "metrics.csv")
     print(f"mAP {record.test_map:.4f}, recall@1 {record.recall_at_1:.4f} over {len(ds)} instances")

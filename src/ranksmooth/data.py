@@ -92,10 +92,6 @@ class Dataset:
     def dim(self):
         return self.features.shape[1]
 
-    @property
-    def num_classes(self):
-        return len(self.class_index)
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -129,7 +125,7 @@ class SamplerState:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Desk-scale synthetic dataset request; seed=None means the run seed.
+    """Desk-scale synthetic dataset request; the run seed draws it.
 
     The defaults put the untrained encoder's open-set mAP near 0.5 with
     headroom both ways: a 16-dimensional shared signal subspace under
@@ -142,7 +138,6 @@ class SyntheticSpec:
     dim: int = 64
     noise_sigma: float = 0.13
     signal_dim: int | None = 16
-    seed: int | None = None
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -195,12 +190,13 @@ def save_features_csv(path, dataset):
             fh.write(f"{i},{int(dataset.class_ids[i])},{feats}\n")
 
 
-def load_features_csv(path, min_per_class=2):
+def load_features_csv(path):
     """Parse a feature CSV into a Dataset.
 
     Ragged rows, unparsable or non-finite fields, and duplicate ids each
-    raise a distinct error carrying the 1-based line number. Classes with
-    fewer than min_per_class instances are dropped after parsing.
+    raise a distinct error carrying the 1-based line number. Classes with a
+    single instance, whose queries would have no positive, are dropped
+    after parsing.
     """
     rows = []
     ids = {}
@@ -240,13 +236,11 @@ def load_features_csv(path, min_per_class=2):
         raise CsvFormatError("file contains no data rows", 1)
     features = np.asarray(rows, dtype=np.float64)
     labels = np.asarray(class_ids, dtype=np.int64)
-    if min_per_class > 1:
-        _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-        keep = counts[inverse] >= min_per_class
-        if not keep.any():
-            raise ValueError(f"no class has at least {min_per_class} instances")
-        features, labels = features[keep], labels[keep]
-    return Dataset(features=features, class_ids=labels)
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    keep = counts[inverse] >= 2
+    if not keep.any():
+        raise ValueError("no class has at least 2 instances")
+    return Dataset(features=features[keep], class_ids=labels[keep])
 
 
 def _subset(dataset, mask):

@@ -104,6 +104,9 @@ class TrainConfig:
         # fails here and not at the first training step.
         self.smooth_ap
         self.sampler
+        if self.loss != "smooth-ap" and self.batch_size == self.per_class:
+            raise ValueError(f"loss {self.loss} needs a negative for every query, but a batch "
+                             f"of batch_size = per_class = {self.per_class} holds one class")
         for name in ("triplet_margin", "contrastive_margin"):
             try:
                 TripletConfig(getattr(self, name))
@@ -172,10 +175,9 @@ class GradCheckReport:
         return self.max_rel_error < self.tolerance
 
 
-def build_dataset(spec, fallback_seed):
+def build_dataset(spec, seed):
     if isinstance(spec, CsvSpec):
         return load_features_csv(spec.path)
-    seed = spec.seed if spec.seed is not None else fallback_seed
     return gen_synthetic_clusters(
         spec.num_classes, spec.per_class, spec.dim, spec.noise_sigma, seed,
         signal_dim=spec.signal_dim,
@@ -190,16 +192,11 @@ def _loss_for(cfg, batch):
     return contrastive_loss(batch, margin=cfg.contrastive_margin)
 
 
-def evaluate_encoder(params, dataset, ks=(1, 4, 16)):
-    """Test-split retrieval quality of an encoder: mAP and Recall@K."""
-    return map_and_recall(encode(dataset.features, dataset.class_ids, params), ks)
-
-
-def measure(step, loss_value, batch, params, test_ds, diag, started):
-    """One log record: the loss on a training batch, test-split retrieval
-    quality of params, and the diag (SmoothApConfig) AP-error and
-    operating-region diagnostics of the batch."""
-    test_map, recalls = evaluate_encoder(params, test_ds)
+def measure(step, loss_value, batch, test_batch, diag, started):
+    """One log record: the loss on a training batch, the mAP and Recall@K
+    of test_batch (the encoded test split), and the diag (SmoothApConfig)
+    AP-error and operating-region diagnostics of the training batch."""
+    test_map, recalls = map_and_recall(test_batch, (1, 4, 16))
     return ExperimentRecord(
         step=step,
         train_loss=float(loss_value),
@@ -270,9 +267,8 @@ def train(cfg):
     steps = _train_steps(train_ds, _sampled(train_ds, cfg), cfg)
     for step, (batch, out, params) in enumerate(steps):
         if step % cfg.eval_every == 0 or step == cfg.steps:
-            records.append(
-                measure(step, out.loss, batch, params, test_ds, cfg.smooth_ap, started)
-            )
+            test_batch = encode(test_ds.features, test_ds.class_ids, params)
+            records.append(measure(step, out.loss, batch, test_batch, cfg.smooth_ap, started))
         if step == cfg.steps:
             break
     return TrainResult(config=cfg, records=tuple(records), params=params)

@@ -15,6 +15,7 @@ reads its blocks from one iterator, _query_blocks, over the positive
 counts that queries_with_positives takes once per call.
 """
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -49,9 +50,11 @@ class DegenerateQueryError(ValueError):
     """A batch contains a class with a single instance; its query has an
     empty positive set."""
 
+    template = "class {} has a single instance; its query has no positives"
+
     def __init__(self, class_id):
         self.class_id = class_id
-        super().__init__(f"class {class_id} has a single instance; its query has no positives")
+        super().__init__(self.template.format(class_id))
 
 
 @dataclass(frozen=True)
@@ -121,10 +124,6 @@ class EmbeddingBatch:
     def __len__(self):
         return self.vectors.shape[0]
 
-    @property
-    def dim(self):
-        return self.vectors.shape[1]
-
 
 def _descending_order(scores):
     """Positions of scores from highest to lowest along the last axis, ties
@@ -171,9 +170,9 @@ def queries_with_positives(class_ids, allow_degenerate, context):
     are its positives as a query. A count of 0 marks a row with no positive
     set, which is not a query.
 
-    Such rows raise DegenerateQueryError naming the class of the first of
-    them, or with allow_degenerate are left at 0 with a warning. A batch
-    where no row has a positive always raises.
+    Such rows raise DegenerateQueryError naming the first one's class, or
+    with allow_degenerate stay 0 under a warning issued at the calling line
+    outside this package; a batch with no query always raises.
     """
     _, inverse, counts = np.unique(class_ids, return_inverse=True, return_counts=True)
     num_pos = counts[inverse] - 1
@@ -181,10 +180,13 @@ def queries_with_positives(class_ids, allow_degenerate, context):
         first = int(class_ids[np.argmin(num_pos)])
         if not allow_degenerate:
             raise DegenerateQueryError(first)
+        level, frame = 2, sys._getframe(1)
+        while frame is not None and frame.f_globals.get("__package__") == __package__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"{context}: skipping {np.count_nonzero(num_pos == 0)} query(ies) with no in-batch "
             f"positive, e.g. class {first}",
-            stacklevel=3,
+            stacklevel=level,
         )
     if not num_pos.any():
         raise DegenerateQueryError(int(class_ids[0]) if class_ids.size else -1)

@@ -108,9 +108,7 @@ def sigmoid(x, tau):
     saturates cleanly to 0.0 / 1.0 in float64 instead of producing NaN.
     Accepts scalars or arrays.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    out = _sigmoid_parts(np.atleast_1d(x), tau)[0]
+    out = _sigmoid_parts(np.atleast_1d(x), SmoothApConfig(tau).tau)[0]
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -119,9 +117,7 @@ def sigmoid_grad(x, tau):
 
     Symmetric in x, maximal at x = 0 where it equals 1 / (4 tau).
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    out = _sigmoid_parts(np.atleast_1d(x), tau)[1]
+    out = _sigmoid_parts(np.atleast_1d(x), SmoothApConfig(tau).tau)[1]
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

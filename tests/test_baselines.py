@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from helpers import central_difference, max_rel_error, nondegenerate_labelings, random_batch
-from ranksmooth.baselines import TripletConfig, contrastive_loss, triplet_loss, violating_terms
+from ranksmooth.baselines import (
+    SingleClassBatchError,
+    TripletConfig,
+    contrastive_loss,
+    triplet_loss,
+    violating_terms,
+)
 from ranksmooth.ranking import DegenerateQueryError, EmbeddingBatch, ScoredSet, exact_ap
 
 WORKED_SCORES = np.array([0.9, 0.8, 0.7, 0.3, 0.85, 0.6, 0.5, 0.4])
@@ -119,6 +125,19 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
             contrastive_loss(random_batch(rng, 2, 2, 4), margin=-1.0)
+
+
+@pytest.mark.parametrize(
+    "loss",
+    [lambda b: triplet_loss(b, TripletConfig()), lambda b: contrastive_loss(b, margin=0.5)],
+    ids=["triplet", "contrastive"],
+)
+def test_pair_loss_one_class_batch_names_the_class(loss):
+    # Every row has positives; it is the negatives that are missing.
+    batch = EmbeddingBatch.from_raw(np.random.default_rng(7).normal(size=(4, 3)), np.full(4, 44))
+    with pytest.raises(SingleClassBatchError, match="^class 44 is the only class in the batch; ") as err:
+        loss(batch)
+    assert isinstance(err.value, DegenerateQueryError) and err.value.class_id == 44
 
 
 class TestViolatingTerms:

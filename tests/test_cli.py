@@ -10,8 +10,11 @@ import pytest
 
 from ranksmooth import cli
 from ranksmooth.cli import main
-from ranksmooth.encoder import init_encoder, load_encoder, save_encoder
+from ranksmooth.data import load_features_csv
+from ranksmooth.encoder import encode, init_encoder, load_encoder, save_encoder
 from ranksmooth.experiments import approx_error_sweep, operating_region_sweep
+from ranksmooth.ranking import map_and_recall
+from ranksmooth.smoothap import SmoothApConfig, batch_ap_error, batch_operating_region
 
 
 @pytest.fixture()
@@ -328,6 +331,28 @@ class TestEval:
         assert len(lines) == 2
         values = lines[1].split(",")
         assert 0.0 <= float(values[2]) <= 1.0
+
+    @pytest.mark.parametrize("magic, hidden_dim", [(b"RSM1", None), (b"RSM2", 5)])
+    def test_checkpoint_metrics_equal_library_kernels(self, tmp_path, dataset_csv, magic, hidden_dim):
+        ds = load_features_csv(dataset_csv)
+        ckpt = tmp_path / "encoder.bin"
+        save_encoder(ckpt, init_encoder(ds.dim, 6, seed=3, bias=True, hidden_dim=hidden_dim))
+        assert ckpt.read_bytes()[:4] == magic
+        eval_out = tmp_path / "eval"
+        code = main(["eval", "--data", str(dataset_csv), "--checkpoint", str(ckpt), "-o", str(eval_out)])
+        assert code == 0
+        header, row = (eval_out / "metrics.csv").read_text().splitlines()
+        got = dict(zip(header.split(","), map(float, row.split(","))))
+        batch = encode(ds.features, ds.class_ids, load_encoder(ckpt))
+        test_map, recalls = map_and_recall(batch, (1, 4, 16))
+        diag = SmoothApConfig()
+        want = {
+            "test_map": test_map,
+            **{f"recall_at_{k}": recall for k, recall in recalls.items()},
+            "ap_error": batch_ap_error(batch, diag),
+            "operating_region": batch_operating_region(batch, diag),
+        }
+        assert {name: got[name] for name in want} == want
 
     def test_d_out_zero_usage_error(self, tmp_path, dataset_csv, capsys):
         code = main(["eval", "--data", str(dataset_csv), "--d-out", "0", "-o", str(tmp_path / "o")])

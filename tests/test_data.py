@@ -23,7 +23,7 @@ class TestGenSyntheticClusters:
     def test_shapes_and_index(self):
         ds = gen_synthetic_clusters(5, 4, 8, 0.2, seed=0)
         assert ds.features.shape == (20, 8)
-        assert ds.num_classes == 5
+        assert len(ds.class_index) == 5
         assert all(len(rows) == 4 for rows in ds.class_index.values())
 
     def test_deterministic(self):
@@ -101,8 +101,8 @@ class TestCsvRoundTrip:
 
     def test_well_formed_three_rows(self, tmp_path):
         path = tmp_path / "ok.csv"
-        path.write_text("0,1,0.5,0.25\n1,1,0.1,0.2\n2,2,0.3,0.4\n")
-        ds = load_features_csv(path, min_per_class=1)
+        path.write_text("0,1,0.5,0.25\n1,1,0.1,0.2\n2,1,0.3,0.4\n")
+        ds = load_features_csv(path)
         assert len(ds) == 3
         assert ds.dim == 2
 
@@ -143,20 +143,23 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError):
             load_features_csv(path)
 
-    def test_min_per_class_filter(self, tmp_path):
+    def test_singleton_classes_dropped(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("0,1,0.5\n1,1,0.6\n2,2,0.7\n")
-        ds = load_features_csv(path, min_per_class=2)
+        ds = load_features_csv(path)
         assert len(ds) == 2
         assert set(ds.class_index) == {1}
+        path.write_text("0,1,0.5\n1,2,0.6\n")
+        with pytest.raises(ValueError, match="no class has at least 2 instances"):
+            load_features_csv(path)
 
 
 class TestSplitByClass:
     def test_half_split_ten_classes(self):
         ds = gen_synthetic_clusters(10, 3, 4, 0.1, seed=8)
         train, test = split_by_class(ds, 0.5, seed=0)
-        assert train.num_classes == 5
-        assert test.num_classes == 5
+        assert len(train.class_index) == 5
+        assert len(test.class_index) == 5
 
     def test_disjoint_and_covering(self):
         ds = gen_synthetic_clusters(9, 2, 4, 0.1, seed=9)

@@ -77,6 +77,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=r"signal_dim must be in \[1, 12\], got 16"):
             TrainConfig(data=SyntheticSpec(dim=12))
 
+    @pytest.mark.parametrize("loss", ["triplet", "contrastive"])
+    def test_pair_loss_rejects_one_class_batches(self, loss):
+        # A batch of one class gives no query a negative, so it cannot train.
+        with pytest.raises(ValueError, match=f"^loss {loss} needs a negative for every query"):
+            tiny_config(loss=loss, batch_size=4, per_class=4)
+        tiny_config(loss="smooth-ap", batch_size=4, per_class=4)
+
     def test_positive_counts_enforced(self):
         with pytest.raises(ValueError):
             tiny_config(batch_size=0)
@@ -189,6 +196,13 @@ class TestAblate:
         monkeypatch.setattr(experiments, "train", lambda cfg: calls.append(cfg))
         with pytest.raises(ValueError, match="margin must be nonnegative"):
             ablate(tiny_config(loss="contrastive"), "contrastive_margin", [0.5, -1.0])
+        assert calls == []
+
+    def test_one_class_pair_loss_batch_rejected_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "train", lambda cfg: calls.append(cfg))
+        with pytest.raises(ValueError, match="needs a negative"):
+            ablate(tiny_config(loss="triplet", batch_size=4), "per_class", [2, 4])
         assert calls == []
 
 

@@ -28,7 +28,6 @@ from helpers import (
 from ranksmooth.baselines import TripletConfig, triplet_loss
 from ranksmooth.data import Dataset, SamplerConfig, SamplerState, next_batch
 from ranksmooth.encoder import EncoderParams, encode
-from ranksmooth.experiments import evaluate_encoder
 from ranksmooth.ranking import (
     EmbeddingBatch,
     ScoredSet,
@@ -126,13 +125,11 @@ def test_exact_ap_matches_pairwise_and_walk(scored):
 
 @PROPERTY_SETTINGS
 @given(labelled_rows())
-def test_evaluate_encoder_equals_mean_ap_and_recall(rows):
+def test_map_and_recall_equals_mean_ap_and_recall(rows):
     features, class_ids = rows
-    params = EncoderParams(weight=np.eye(features.shape[1]))
-    batch = encode(features, class_ids, params)
+    batch = encode(features, class_ids, EncoderParams(weight=np.eye(features.shape[1])))
     ks = range(1, len(batch))
-    got = evaluate_encoder(params, Dataset(features, class_ids), ks)
-    assert got == (mean_ap(batch), recall_at_k(batch, ks))
+    assert map_and_recall(batch, ks) == (mean_ap(batch), recall_at_k(batch, ks))
 
 
 @PROPERTY_SETTINGS

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from helpers import precision_at_hit_ap, nondegenerate_labelings, unit_rows, random_batch
+from ranksmooth.baselines import TripletConfig, contrastive_loss, triplet_loss
 from ranksmooth.ranking import (
     DegenerateLabelsError,
     DegenerateQueryError,
     EmbeddingBatch,
     ScoredSet,
     exact_ap,
+    map_and_recall,
     mean_ap,
     recall_at_k,
 )
+from ranksmooth.smoothap import SmoothApConfig, batch_ap_error, smooth_ap_loss
 
 # The running worked example: instances s0..s3 positive, s4..s7 negative,
 # score order s0 > s4 > s1 > s2 > s5 > s6 > s7 > s3.
@@ -169,6 +172,26 @@ class TestMeanAp:
         with pytest.warns(UserWarning, match="skipping"):
             value = mean_ap(batch, allow_degenerate=True)
         assert value == 1.0
+
+
+# Every kernel that skips a query with no positive under allow_degenerate.
+SKIPPING_KERNELS = {
+    "mean_ap": lambda b: mean_ap(b, allow_degenerate=True),
+    "recall_at_k": lambda b: recall_at_k(b, [1], allow_degenerate=True),
+    "map_and_recall": lambda b: map_and_recall(b, [1], allow_degenerate=True),
+    "smooth_ap_loss": lambda b: smooth_ap_loss(b, SmoothApConfig(), allow_degenerate=True),
+    "batch_ap_error": lambda b: batch_ap_error(b, SmoothApConfig(), allow_degenerate=True),
+    "triplet_loss": lambda b: triplet_loss(b, TripletConfig(), allow_degenerate=True),
+    "contrastive_loss": lambda b: contrastive_loss(b, 0.5, allow_degenerate=True),
+}
+
+
+@pytest.mark.parametrize("kernel", SKIPPING_KERNELS)
+def test_skipped_query_warning_names_the_calling_line(kernel):
+    batch = EmbeddingBatch(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([0, 0, 9]))
+    with pytest.warns(UserWarning, match=f"^{kernel}: skipping 1 query") as caught:
+        SKIPPING_KERNELS[kernel](batch)
+    assert [w.filename for w in caught] == [__file__]
 
 
 class TestRecallAtK:
