@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import normalize_rows, similarity_backward
+from .linalg import normalize_rows, product, similarity_backward
 from .ranking import DegenerateQueryError, _query_blocks, queries_with_positives
 from .smoothap import LossOutput
 
@@ -56,7 +56,7 @@ def triplet_loss(batch, cfg, allow_degenerate=False):
     """
     unit, norms = normalize_rows(batch.vectors)
     m = len(batch)
-    sims = unit @ unit.T
+    sims = product(unit, unit.T)
     num_pos = _pair_queries(batch, allow_degenerate, "triplet_loss")
     anchors = np.flatnonzero(num_pos)
     score_grad = np.zeros((m, m))
@@ -92,7 +92,7 @@ def contrastive_loss(batch, margin, allow_degenerate=False):
     unit, norms = normalize_rows(batch.vectors)
     m = len(batch)
     _pair_queries(batch, allow_degenerate, "contrastive_loss")
-    sims = unit @ unit.T
+    sims = product(unit, unit.T)
     iu, ju = np.triu_indices(m, k=1)
     pos = batch.class_ids[iu] == batch.class_ids[ju]
     n_pos = int(pos.sum())

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .linalg import normalize_rows, project_out_radial
+from .linalg import normalize_rows, product, project_out_radial
 from .ranking import EmbeddingBatch
 
 __all__ = [
@@ -106,8 +106,8 @@ def _forward(features, params):
     inputs = [np.asarray(features, dtype=np.float64)]
     *hidden, last = _weights(params).values()
     for weight in hidden:
-        inputs.append(np.tanh(inputs[-1] @ weight))
-    z = inputs[-1] @ last
+        inputs.append(np.tanh(product(inputs[-1], weight)))
+    z = product(inputs[-1], last)
     if params.bias is not None:
         z = z + params.bias
     return inputs, z
@@ -136,9 +136,9 @@ def encode_backward(features, params, upstream_grad):
     grad_z = project_out_radial(unit, norms, np.asarray(upstream_grad, dtype=np.float64))
     grads, grad = {}, grad_z
     for depth, (name, weight) in reversed(list(enumerate(_weights(params).items()))):
-        grads[name] = inputs[depth].T @ grad
+        grads[name] = product(inputs[depth].T, grad)
         if depth:
-            grad = (grad @ weight.T) * (1.0 - inputs[depth] ** 2)
+            grad = product(grad, weight.T) * (1.0 - inputs[depth] ** 2)
     if params.bias is not None:
         grads["bias"] = grad_z.sum(axis=0)
     return grads

@@ -98,8 +98,10 @@ class TrainConfig:
             raise ValueError(f"hidden_dim must be positive or None, got {self.hidden_dim}")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
-        if self.lr <= 0 or self.weight_decay < 0:
-            raise ValueError("lr must be positive and weight_decay nonnegative")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         # The configs this one feeds check their own fields, so a bad value
         # fails here and not at the first training step.
         self.smooth_ap

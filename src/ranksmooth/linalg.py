@@ -1,8 +1,8 @@
-"""Row-normalization helpers shared by the losses and the encoder.
+"""Row normalization and matrix products shared by the losses and encoder.
 
 Everything that scores embeddings in this package goes through the same
-pipeline: L2-normalize rows, take dot products. The backward passes need
-the matching Jacobians, so they live here in one place.
+pipeline: L2-normalize rows, take dot products (product). The backward
+passes need the matching Jacobians, so they live here in one place.
 """
 
 import numpy as np
@@ -13,6 +13,26 @@ class NormalizationError(ValueError):
 
 
 _NORM_FLOOR = 1e-12
+# OpenBLAS runs a GEMM of at most this many multiply-adds (m * n * k) on the
+# calling thread: SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD.
+_SERIAL_MULTIPLY_ADDS = 65536 * 4
+
+
+def product(a, b):
+    """a @ b for 2-D a and b, in row chunks of a whose products stay at or
+    below OpenBLAS's serial cutoff; a product within it is one call.
+
+    No product wakes the BLAS worker threads, which spin after each threaded
+    call, and the chunk bounds (and so the result bits) do not depend on
+    the thread count.
+    """
+    step = max(1, _SERIAL_MULTIPLY_ADDS // max(1, b.size))
+    if step >= len(a):
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    for start in range(0, len(a), step):
+        np.matmul(a[start : start + step], b, out=out[start : start + step])
+    return out
 
 
 def normalize_rows(x):
@@ -49,5 +69,5 @@ def similarity_backward(unit_rows, norms, score_grad):
     j; entries on the diagonal must be zero (self-similarity is never part
     of a loss).
     """
-    grad_v = score_grad @ unit_rows + score_grad.T @ unit_rows
+    grad_v = product(score_grad, unit_rows) + product(score_grad.T, unit_rows)
     return project_out_radial(unit_rows, norms, grad_v)

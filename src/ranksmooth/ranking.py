@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import normalize_rows
+from .linalg import normalize_rows, product
 
 __all__ = [
     "ScoredSet",
@@ -229,7 +229,7 @@ def _exact_metrics(batch, ks, allow_degenerate, context):
     num_pos = queries_with_positives(batch.class_ids, allow_degenerate, context)
     ap = np.empty(np.count_nonzero(num_pos))
     hits = dict.fromkeys(ks, 0)
-    sims = batch.vectors @ batch.vectors.T
+    sims = product(batch.vectors, batch.vectors.T)
     for at, scores, labels in _query_blocks(sims, batch.class_ids, num_pos, lambda p: m - 1):
         first_hit, ap[at] = _ranked_ap(scores, labels)
         for k in ks:

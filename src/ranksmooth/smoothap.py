@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import normalize_rows, similarity_backward
+from .linalg import normalize_rows, product, similarity_backward
 from .ranking import (
     _BLOCK_ELEMENTS,
     DegenerateLabelsError,
@@ -169,7 +169,7 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
     """
     m = len(batch)
     unit, norms = normalize_rows(batch.vectors)
-    sims = unit @ unit.T
+    sims = product(unit, unit.T)
     num_pos = queries_with_positives(batch.class_ids, allow_degenerate, "smooth_ap_loss")
     queries = np.flatnonzero(num_pos)
     ap = np.empty(queries.size)
@@ -211,7 +211,7 @@ def batch_ap_error(batch, cfg, allow_degenerate=False):
     num_pos = queries_with_positives(batch.class_ids, allow_degenerate, "batch_ap_error")
     errors = np.empty(np.count_nonzero(num_pos))
     m = len(batch)
-    sims = batch.vectors @ batch.vectors.T
+    sims = product(batch.vectors, batch.vectors.T)
     for at, scores, labels in _query_blocks(sims, batch.class_ids, num_pos, lambda p: p * (m - 1)):
         numer, denom = _smooth_ap_block(scores, labels, cfg.tau)[:2]
         errors[at] = np.abs(np.mean(numer / denom, axis=1) - _ranked_ap(scores, labels)[1])
@@ -232,7 +232,7 @@ def batch_operating_region(batch, cfg):
     halfwidth = operating_region_halfwidth(cfg)
     if halfwidth == 0.0:
         return 0.0
-    sims = batch.vectors @ batch.vectors.T
+    sims = product(batch.vectors, batch.vectors.T)
     m = len(batch)
     close = np.empty(m, dtype=np.int64)
     step = max(1, _BLOCK_ELEMENTS // (2 * m))

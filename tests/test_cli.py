@@ -512,7 +512,7 @@ class TestDiagnosticsCommands:
         code = main(["region-sweep", "--data", str(dataset_csv), "--weight-decay", "-2",
                      "-o", str(out)])
         assert code == 2
-        assert "weight_decay nonnegative" in capsys.readouterr().err
+        assert "error: weight_decay must be nonnegative, got -2.0" in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
         assert not (out / "region_sweep.csv").exists()
 
@@ -532,9 +532,10 @@ class TestDiagnosticsCommands:
 
 class TestBlasThreads:
     """Run files do not depend on the BLAS thread count. With OpenBLAS
-    0.3.31 on 2 cores, the Gram product of 500 unit 16-d rows (the default
-    data's test split) changes bits between 1 and 2 threads; a batch of 512
-    is the large-batch case."""
+    0.3.31 on 2 cores, an unchunked Gram product of 500 unit 16-d rows (the
+    default data's test split) changes bits between 1 and 2 threads, and so
+    do both similarity products of a batch of 420; a batch of 512 is the
+    large-batch case."""
 
     @pytest.mark.parametrize(
         "data_args, train_args",
@@ -542,8 +543,10 @@ class TestBlasThreads:
             ((), ("--steps", "50")),
             (("--classes", "200", "--per-class", "16"),
              ("--batch", "512", "--per-class", "8", "--steps", "20")),
+            (("--classes", "250", "--per-class", "4"),
+             ("--batch", "420", "--per-class", "4", "--steps", "20", "--eval-every", "10")),
         ],
-        ids=["eval-500", "batch-512"],
+        ids=["eval-500", "batch-512", "batch-420"],
     )
     def test_train_files_identical_across_thread_counts(self, tmp_path, data_args, train_args):
         data = tmp_path / "data.csv"

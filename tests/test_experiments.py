@@ -256,7 +256,11 @@ class TestApproxErrorSweep:
 
     @pytest.mark.parametrize(
         "overrides, match",
-        [(dict(lr=-1.0), "lr must be positive"), (dict(d_out=0), "d_out must be positive")],
+        [
+            (dict(lr=-1.0), "lr must be positive"),
+            (dict(d_out=0), "d_out must be positive"),
+            (dict(weight_decay=-2.0), "^weight_decay must be nonnegative, got -2.0$"),
+        ],
     )
     def test_bad_recipe_rejected_before_training(self, train_steps_calls, overrides, match):
         ds = gen_synthetic_clusters(8, 6, 12, 0.15, seed=2, signal_dim=6)
@@ -290,7 +294,7 @@ class TestOperatingRegionSweep:
 
     def test_bad_recipe_rejected_before_training(self, train_steps_calls):
         ds = gen_synthetic_clusters(4, 2, 8, 0.2, seed=5)
-        with pytest.raises(ValueError, match="weight_decay nonnegative"):
+        with pytest.raises(ValueError, match="^weight_decay must be nonnegative, got -2.0$"):
             operating_region_sweep(ds, weight_decay=-2.0)
         assert train_steps_calls == []
 
