@@ -56,13 +56,10 @@ def triplet_loss(batch, cfg, allow_degenerate=False):
     """
     unit, norms = normalize_rows(batch.vectors)
     m = len(batch)
-    sims = product(unit, unit.T)
     num_pos = _pair_queries(batch, allow_degenerate, "triplet_loss")
-    anchors = np.flatnonzero(num_pos)
     score_grad = np.zeros((m, m))
-    cols = np.arange(m - 1)
     total, count = 0.0, 0
-    for at, scores, labels in _query_blocks(sims, batch.class_ids, num_pos, lambda p: p * (m - 1)):
+    for at, where, scores, labels in _query_blocks(unit, batch.class_ids, num_pos, lambda p: p * (m - 1)):
         # Each anchor's positives and negatives in ascending column order.
         s_pos = scores[labels].reshape(at.size, -1)
         s_neg = scores[~labels].reshape(at.size, -1)
@@ -73,8 +70,7 @@ def triplet_loss(batch, cfg, allow_degenerate=False):
         col_grad = np.empty(labels.shape)
         col_grad[labels] = -active.sum(axis=2).ravel()
         col_grad[~labels] = active.sum(axis=1).ravel()
-        q = anchors[at][:, None]
-        score_grad[q, cols + (cols >= q)] = col_grad
+        score_grad[where] = col_grad
     total /= count
     score_grad /= count
 
@@ -90,23 +86,16 @@ def contrastive_loss(batch, margin, allow_degenerate=False):
     """
     TripletConfig(margin)  # rejects a negative margin
     unit, norms = normalize_rows(batch.vectors)
-    m = len(batch)
     _pair_queries(batch, allow_degenerate, "contrastive_loss")
     sims = product(unit, unit.T)
-    iu, ju = np.triu_indices(m, k=1)
-    pos = batch.class_ids[iu] == batch.class_ids[ju]
-    n_pos = int(pos.sum())
-    n_neg = int((~pos).sum())
+    upper = np.triu(np.ones(sims.shape, dtype=bool), k=1)  # row-major: (i, j), i < j
+    same = batch.class_ids[:, None] == batch.class_ids
+    pos, neg = same & upper, ~same & upper
+    loss = float(np.mean(1.0 - sims[pos]) + np.mean(np.maximum(sims[neg] - margin, 0.0)))
 
-    pair_sims = sims[iu, ju]
-    neg_hinge = np.maximum(pair_sims[~pos] - margin, 0.0)
-    loss = float(np.mean(1.0 - pair_sims[pos]) + np.mean(neg_hinge))
-
-    score_grad = np.zeros((m, m))
-    score_grad[iu[pos], ju[pos]] = -1.0 / n_pos
-    neg_i, neg_j = iu[~pos], ju[~pos]
-    active = pair_sims[~pos] > margin
-    score_grad[neg_i[active], neg_j[active]] = 1.0 / n_neg
+    score_grad = np.zeros(sims.shape)
+    score_grad[pos] = -1.0 / np.count_nonzero(pos)
+    score_grad[neg & (sims > margin)] = 1.0 / np.count_nonzero(neg)
 
     embedding_grad = similarity_backward(unit, norms, score_grad)
     return LossOutput(loss=loss, score_grad=score_grad, embedding_grad=embedding_grad)

@@ -7,10 +7,10 @@ seed, git describe, environment, timestamps) before any compute starts:
 config is keyed by the library's parameter names, plus the seed and the
 --data, --checkpoint, --param and --values given. The run's end adds its
 status ("ok" or "failed", as for a grad check that fails), the error and
-the files written. An error in the flags, the config file or the input
-paths comes before the run and leaves no manifest. CSV outputs are
-deterministic given identical flags and seed; wall-clock timings go to a
-separate timings.csv sidecar.
+the files written. An error in the flags, the config file, the seed or
+the input paths comes before the run and leaves no manifest. CSV
+outputs are deterministic given identical flags and seed; wall-clock
+timings go to a separate timings.csv sidecar.
 
 Each subcommand takes its options and their defaults from the library
 object it calls: gen-data from SyntheticSpec, train and ablate from
@@ -134,7 +134,7 @@ def _parse(key, value, default, kind):
 
 
 def _read_config_file(path, keys):
-    values = {}
+    values, where = {}, {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -151,6 +151,9 @@ def _read_config_file(path, keys):
             raise UsageError(
                 f"{path}:{lineno}: unknown key {key!r}; expected one of {', '.join(sorted(keys))}"
             )
+        if key in where:
+            raise UsageError(f"{path}:{lineno}: key {key!r} given again, first on line {where[key]}")
+        where[key] = lineno
         values[key] = value.strip()
     return values
 
@@ -167,9 +170,11 @@ def _resolve(args, table):
             value = lines.get(key, table[name][0])
         params[name] = _parse(key, value, *table[name])
     seed = args.seed if args.seed is not None else lines.get("seed")
-    if seed is None:
-        return params, _parse(SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, 0), 0, int)
-    return params, _parse("seed", seed, 0, int)
+    key = "seed" if seed is not None else SEED_ENV_VAR
+    seed = _parse(key, os.environ.get(SEED_ENV_VAR, 0) if seed is None else seed, 0, int)
+    if seed < 0:
+        raise UsageError(f"{key}: {seed} is negative; the seed must be a nonnegative integer")
+    return params, seed
 
 
 def _fmt(value):
@@ -227,11 +232,18 @@ def _environment():
     }
 
 
+def _chart(args, save, name, xs, series, title, xlabel, ylabel):
+    """With --plot, the line chart of series over xs as -o/plot_<name>.svg."""
+    if args.plot:
+        save(line_chart, args.output / f"plot_{name}.svg", xs, series, title, xlabel, ylabel)
+
+
 @contextmanager
 def _manifest(path, command, config, seed):
-    """Write the manifest, yield the list the run appends its files to, and
-    on leaving rewrite it with finished_at, the files written and the
-    status: "ok", or "failed" with the error message."""
+    """Write the manifest, yield save(write_file, out, *args), which writes
+    one output file with write_file(out, *args) and lists it, and on
+    leaving rewrite the manifest with finished_at, the files written and
+    the status: "ok", or "failed" with the error message."""
     stamp = partial(time.strftime, "%Y-%m-%dT%H:%M:%S%z")
     body = dict(command=command, config=config, seed=seed, git_describe=_git_describe(),
                 environment=_environment(), started_at=stamp(), finished_at=None,
@@ -240,53 +252,51 @@ def _manifest(path, command, config, seed):
     def write():
         path.write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8", newline="\n")
 
+    def save(write_file, out, *args):
+        write_file(out, *args)
+        body["outputs"].append(str(out))
+
     write()
-    outputs = []
     try:
-        yield outputs
+        yield save
         body["status"] = "ok"
     except BaseException as exc:
         body.update(status="failed", error=str(exc) or type(exc).__name__)
         raise
     finally:
-        body.update(finished_at=stamp(), outputs=[str(p) for p in outputs])
+        body["finished_at"] = stamp()
         write()
 
 
 # ---------------------------------------------------------------------------
 # subcommands: each takes the parsed args, the resolved parameters of its
-# option table, the seed, and the manifest's list of the files it writes,
-# and fails by raising.
+# option table, the seed, and the manifest's save, through which it writes
+# every file, and fails by raising.
 
-def cmd_gen_data(args, params, seed, outputs):
+def cmd_gen_data(args, params, seed, save):
     # signal_dim 0 asks for fully isotropic means (None in the library).
     spec = SyntheticSpec(**dict(params, signal_dim=params["signal_dim"] or None))
     ds = build_dataset(spec, seed)
-    save_features_csv(args.output, ds)
-    outputs.append(args.output)
+    save(save_features_csv, args.output, ds)
     print(f"wrote {len(ds)} rows to {args.output}")
 
 
-def cmd_train(args, params, seed, outputs):
+def cmd_train(args, params, seed, save):
     out = args.output
     result = train(TrainConfig(**params, seed=seed, data=CsvSpec(path=args.data)))
     records = result.records
-    _write_csv(out / "metrics.csv", METRIC_COLUMNS, [_metric_row(r) for r in records])
-    _write_csv(out / "timings.csv", ("step", "wall_ms"), [[r.step, r.wall_ms] for r in records])
-    save_encoder(out / "encoder.bin", result.params)
-    outputs += [out / "metrics.csv", out / "timings.csv", out / "encoder.bin"]
-    if args.plot:
-        steps = [r.step for r in records]
-        for name in ("train_loss", "test_map", "ap_error"):
-            path = out / f"plot_{name}.svg"
-            line_chart(path, steps, {name: [getattr(r, name) for r in records]},
-                       name, "step", name)
-            outputs.append(path)
+    save(_write_csv, out / "metrics.csv", METRIC_COLUMNS, [_metric_row(r) for r in records])
+    save(_write_csv, out / "timings.csv", ("step", "wall_ms"), [[r.step, r.wall_ms] for r in records])
+    save(save_encoder, out / "encoder.bin", result.params)
+    steps = [r.step for r in records]
+    for name in ("train_loss", "test_map", "ap_error"):
+        _chart(args, save, name, steps, {name: [getattr(r, name) for r in records]},
+               name, "step", name)
     final = result.final
     print(f"final step {final.step}: test mAP {final.test_map:.4f}, loss {final.train_loss:.4f}")
 
 
-def cmd_eval(args, params, seed, outputs):
+def cmd_eval(args, params, seed, save):
     cfg = TrainConfig(**params, seed=seed)
     ds = load_features_csv(args.data)
     if args.checkpoint:
@@ -297,25 +307,23 @@ def cmd_eval(args, params, seed, outputs):
     diag = cfg.smooth_ap
     loss = smooth_ap_loss(batch, diag).loss
     record = measure(0, loss, batch, batch, diag, time.perf_counter())
-    _write_csv(args.output / "metrics.csv", METRIC_COLUMNS, [_metric_row(record)])
-    outputs.append(args.output / "metrics.csv")
+    save(_write_csv, args.output / "metrics.csv", METRIC_COLUMNS, [_metric_row(record)])
     print(f"mAP {record.test_map:.4f}, recall@1 {record.recall_at_1:.4f} over {len(ds)} instances")
 
 
-def cmd_ablate(args, params, seed, outputs):
+def cmd_ablate(args, params, seed, save):
     name = {key: name for name, key in SPELLING.items()}.get(args.param, args.param)
     if name not in TRAIN:
         raise UsageError(f"--param must be one of {', '.join(map(_key, TRAIN))}")
     values = [_parse("--values", v, *TRAIN[name]) for v in args.values.split(",") if v.strip()]
     cfg = TrainConfig(**params, seed=seed, data=CsvSpec(path=args.data))
     rows = [[value] + _metric_row(final) for value, final, _ in ablate(cfg, name, values)]
-    _write_csv(args.output / "summary.csv", (args.param,) + METRIC_COLUMNS, rows)
-    outputs.append(args.output / "summary.csv")
+    save(_write_csv, args.output / "summary.csv", (args.param,) + METRIC_COLUMNS, rows)
     for row in rows:
         print(f"{args.param}={row[0]}: test mAP {row[3]:.4f}")
 
 
-def cmd_grad_check(args, params, seed, outputs):
+def cmd_grad_check(args, params, seed, save):
     report = grad_check(**params, seed=seed)
     print(
         f"{report.loss}: max rel error embedding {report.max_rel_error_embedding:.3e}, "
@@ -323,12 +331,12 @@ def cmd_grad_check(args, params, seed, outputs):
         f"-> {'PASS' if report.passed else 'FAIL'}"
     )
     if args.output:
-        _write_csv(
+        save(
+            _write_csv,
             args.output / "grad_check.csv",
             [f.name for f in fields(report)] + ["passed"],
             [[*astuple(report), report.passed]],
         )
-        outputs.append(args.output / "grad_check.csv")
     if not report.passed:
         raise CheckFailed(
             f"max relative error {report.max_rel_error:.3e} is not below the "
@@ -336,38 +344,25 @@ def cmd_grad_check(args, params, seed, outputs):
         )
 
 
-def cmd_approx_error(args, params, seed, outputs):
+def cmd_approx_error(args, params, seed, save):
     taus = params["taus"]
     sweep = approx_error_sweep(load_features_csv(args.data), **params, seed=seed)
     rows = [[tau, step, err] for tau in taus for step, err in enumerate(sweep[tau])]
-    _write_csv(args.output / "approx_error.csv", ("tau", "step", "ap_error"), rows)
-    outputs.append(args.output / "approx_error.csv")
-    if args.plot:
-        path = args.output / "plot_approx_error.svg"
-        line_chart(
-            path,
-            list(range(params["steps"])),
-            {f"tau={tau:g}": sweep[tau] for tau in taus},
-            "AP approximation error per training batch",
-            "step",
-            "ap_error",
-        )
-        outputs.append(path)
+    save(_write_csv, args.output / "approx_error.csv", ("tau", "step", "ap_error"), rows)
+    _chart(args, save, "approx_error", list(range(params["steps"])),
+           {f"tau={tau:g}": sweep[tau] for tau in taus},
+           "AP approximation error per training batch", "step", "ap_error")
     for tau in taus:
         print(f"tau={tau:g}: mean ap_error {float(np.mean(sweep[tau])):.5f}")
 
 
-def cmd_region_sweep(args, params, seed, outputs):
+def cmd_region_sweep(args, params, seed, save):
     sizes = params["batch_sizes"]
     sweep = operating_region_sweep(load_features_csv(args.data), **params, seed=seed)
     rows = [[b, sweep[b]] for b in sizes]
-    _write_csv(args.output / "region_sweep.csv", ("batch_size", "mean_operating_region"), rows)
-    outputs.append(args.output / "region_sweep.csv")
-    if args.plot:
-        path = args.output / "plot_region_sweep.svg"
-        line_chart(path, sizes, {"P": [sweep[b] for b in sizes]},
-                   "Operating-region fraction vs batch size", "batch size", "P")
-        outputs.append(path)
+    save(_write_csv, args.output / "region_sweep.csv", ("batch_size", "mean_operating_region"), rows)
+    _chart(args, save, "region_sweep", sizes, {"P": [sweep[b] for b in sizes]},
+           "Operating-region fraction vs batch size", "batch size", "P")
     for b in sizes:
         print(f"B={b}: mean P {sweep[b]:.4f}")
 
@@ -427,7 +422,7 @@ def main(argv=None):
             if path and not Path(path).exists():
                 raise UsageError(f"{what} not found: {path}")
         if args.output is None:  # grad-check without -o writes nothing
-            args.func(args, params, seed, [])
+            args.func(args, params, seed, None)
             return 0
         if args.command == "gen-data":
             manifest = Path(f"{args.output}.manifest.json")
@@ -436,8 +431,8 @@ def main(argv=None):
             manifest = args.output / "manifest.json"
         given = {k: getattr(args, k, None) for k in ("data", "checkpoint", "param", "values")}
         config = dict(params, seed=seed, **{k: v for k, v in given.items() if v})
-        with _manifest(manifest, args.command, config, seed) as outputs:
-            args.func(args, params, seed, outputs)
+        with _manifest(manifest, args.command, config, seed) as save:
+            args.func(args, params, seed, save)
         return 0
     except CheckFailed:  # the subcommand printed its verdict
         return 1

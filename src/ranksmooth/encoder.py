@@ -104,7 +104,11 @@ def _forward(features, params):
     """Each layer's input, and z, the output before normalization. A tanh
     follows every weight but the last."""
     inputs = [np.asarray(features, dtype=np.float64)]
-    *hidden, last = _weights(params).values()
+    weights = list(_weights(params).values())
+    if inputs[0].shape[-1] != len(weights[0]):
+        raise ValueError(f"features have {inputs[0].shape[-1]} columns; "
+                         f"the encoder takes {len(weights[0])}")
+    *hidden, last = weights
     for weight in hidden:
         inputs.append(np.tanh(product(inputs[-1], weight)))
     z = product(inputs[-1], last)

@@ -198,6 +198,8 @@ def measure(step, loss_value, batch, test_batch, diag, started):
     """One log record: the loss on a training batch, the mAP and Recall@K
     of test_batch (the encoded test split), and the diag (SmoothApConfig)
     AP-error and operating-region diagnostics of the training batch."""
+    if len(test_batch) <= 16:
+        raise ValueError(f"the evaluated set has {len(test_batch)} rows; Recall@16 needs at least 17")
     test_map, recalls = map_and_recall(test_batch, (1, 4, 16))
     return ExperimentRecord(
         step=step,

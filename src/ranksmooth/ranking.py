@@ -229,26 +229,29 @@ def _exact_metrics(batch, ks, allow_degenerate, context):
     num_pos = queries_with_positives(batch.class_ids, allow_degenerate, context)
     ap = np.empty(np.count_nonzero(num_pos))
     hits = dict.fromkeys(ks, 0)
-    sims = product(batch.vectors, batch.vectors.T)
-    for at, scores, labels in _query_blocks(sims, batch.class_ids, num_pos, lambda p: m - 1):
+    for at, _, scores, labels in _query_blocks(batch.vectors, batch.class_ids, num_pos,
+                                               lambda p: m - 1):
         first_hit, ap[at] = _ranked_ap(scores, labels)
         for k in ks:
             hits[k] += int(np.count_nonzero(first_hit < k))
     return float(np.mean(ap)), {k: hits[k] / ap.size for k in ks}
 
 
-def _query_blocks(sims, class_ids, num_pos, row_elements):
+def _query_blocks(vectors, class_ids, num_pos, row_elements):
     """The queries in blocks of rows that share a positive count.
 
-    sims is the (m, m) score matrix of a batch with the given class ids,
-    and num_pos each row's positive count from queries_with_positives; the
-    rows with a nonzero count are the queries. Yields (at, scores, labels)
-    per block: the block's positions among the queries, and each query's
-    scores and positive labels against the batch's other rows in index
-    order, as (rows, m - 1) arrays. A block holds at most
-    max(1, _BLOCK_ELEMENTS // row_elements(p)) rows of positive count p.
+    vectors are the (m, d) rows of a batch with the given class ids, scored
+    by their Gram matrix, and num_pos each row's positive count from
+    queries_with_positives; the rows with a nonzero count are the queries.
+    Yields (at, where, scores, labels) per block: its positions among the
+    queries, the index (query rows, other columns) of its entries in an
+    (m, m) matrix, and each query's scores and positive labels against the
+    batch's other rows in index order, as (rows, m - 1) arrays. A block
+    holds at most max(1, _BLOCK_ELEMENTS // row_elements(p)) rows of
+    positive count p.
     """
-    m = len(sims)
+    m = len(vectors)
+    sims = product(vectors, vectors.T)
     queries = np.flatnonzero(num_pos)
     num_pos = num_pos[queries]
     cols = np.arange(m)
@@ -261,4 +264,4 @@ def _query_blocks(sims, class_ids, num_pos, row_elements):
             others = cols != q[:, None]  # all but the query's own column
             scores = sims[q][others].reshape(q.size, m - 1)
             labels = (class_ids == class_ids[q][:, None])[others].reshape(q.size, m - 1)
-            yield at, scores, labels
+            yield at, (q[:, None], cols[:-1] + (cols[:-1] >= q[:, None])), scores, labels

@@ -169,13 +169,10 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
     """
     m = len(batch)
     unit, norms = normalize_rows(batch.vectors)
-    sims = product(unit, unit.T)
     num_pos = queries_with_positives(batch.class_ids, allow_degenerate, "smooth_ap_loss")
-    queries = np.flatnonzero(num_pos)
-    ap = np.empty(queries.size)
+    ap = np.empty(np.count_nonzero(num_pos))
     score_grad = np.zeros((m, m))
-    cols = np.arange(m - 1)
-    for at, scores, labels in _query_blocks(sims, batch.class_ids, num_pos, lambda p: p * (m - 1)):
+    for at, where, scores, labels in _query_blocks(unit, batch.class_ids, num_pos, lambda p: p * (m - 1)):
         numer, denom, g, gprime, pos_at = _smooth_ap_block(scores, labels, cfg.tau)
         ap[at] = np.mean(numer / denom, axis=1)
 
@@ -183,7 +180,7 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
         # on the positive columns, with c = 1 / (Q |P| denom^2) folding in
         # d loss / d AP = -1/Q and each query's mean over its positives.
         rows, pos = np.arange(at.size)[:, None], np.arange(pos_at.shape[1])
-        c = 1.0 / (queries.size * pos.size * denom**2)
+        c = 1.0 / (ap.size * pos.size * denom**2)
         neg_w, pos_w = numer * c, -denom * c
         gprime_pos = gprime[rows[:, :, None], pos[:, None], pos_at[:, None, :]]
         col_grad = (neg_w[:, None, :] @ gprime)[:, 0]
@@ -192,8 +189,7 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
         col_grad[rows, pos_at] += (pos_w[:, None, :] @ gprime_pos)[:, 0] - (
             neg_w * gprime.sum(axis=2) + pos_w * gprime_pos.sum(axis=2)
         )
-        q = queries[at][:, None]
-        score_grad[q, cols + (cols >= q)] = col_grad
+        score_grad[where] = col_grad
 
     loss = float(np.mean(1.0 - ap))
     embedding_grad = similarity_backward(unit, norms, score_grad)
@@ -211,8 +207,8 @@ def batch_ap_error(batch, cfg, allow_degenerate=False):
     num_pos = queries_with_positives(batch.class_ids, allow_degenerate, "batch_ap_error")
     errors = np.empty(np.count_nonzero(num_pos))
     m = len(batch)
-    sims = product(batch.vectors, batch.vectors.T)
-    for at, scores, labels in _query_blocks(sims, batch.class_ids, num_pos, lambda p: p * (m - 1)):
+    for at, _, scores, labels in _query_blocks(batch.vectors, batch.class_ids, num_pos,
+                                               lambda p: p * (m - 1)):
         numer, denom = _smooth_ap_block(scores, labels, cfg.tau)[:2]
         errors[at] = np.abs(np.mean(numer / denom, axis=1) - _ranked_ap(scores, labels)[1])
     return float(np.mean(errors))

@@ -8,9 +8,10 @@ The reference implementations below reach the library's exact and
 smoothed AP through m x m pairwise matrices instead of one sort, batch
 metrics and diagnostics one query at a time instead of a block of query
 rows at a time, and the all-valid triplet loss through one hinge matrix
-per anchor instead of a block of anchors at a time, with the same
-floating-point operations in the same order, so the library's kernels can
-be held to them with ==. The smoothed-AP score gradient is the exception:
+per anchor instead of a block of anchors at a time, and the contrastive
+loss one listed pair at a time instead of through pair masks, with the
+same floating-point operations in the same order, so the library's kernels
+can be held to them with ==. The smoothed-AP score gradient is the exception:
 its dense m x m reference sums in another order, so it is held to a
 tolerance. So are the operating region's dense per-query fractions and its
 half-width by bisection, which the library reads from a closed form.
@@ -257,6 +258,28 @@ def per_anchor_triplet(batch, margin):
     total /= count
     score_grad /= count
     return float(total), score_grad, similarity_backward(unit, norms, score_grad)
+
+
+def per_pair_contrastive(batch, margin):
+    """Contrastive loss one pair at a time: (loss, score_grad,
+    embedding_grad). The pairs (i, j), i < j, are listed in that order and
+    each side's terms reduced with np.mean."""
+    unit, norms = normalize_rows(batch.vectors)
+    m = len(batch)
+    sims = unit @ unit.T
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    pos = [(i, j) for i, j in pairs if batch.class_ids[i] == batch.class_ids[j]]
+    neg = [(i, j) for i, j in pairs if batch.class_ids[i] != batch.class_ids[j]]
+    loss = np.mean([1.0 - sims[i, j] for i, j in pos]) + np.mean(
+        [np.maximum(sims[i, j] - margin, 0.0) for i, j in neg]
+    )
+    score_grad = np.zeros((m, m))
+    for i, j in pos:
+        score_grad[i, j] = -1.0 / len(pos)
+    for i, j in neg:
+        if sims[i, j] > margin:
+            score_grad[i, j] = 1.0 / len(neg)
+    return float(loss), score_grad, similarity_backward(unit, norms, score_grad)
 
 
 def loss_timing(batch_sizes, *, repeats=7):

@@ -170,6 +170,11 @@ class TestTrain:
             (["train", "--lr", "-1"], "lr must be positive"),
             (["ablate", "--param", "lr", "--values", "1e-3,-1"], "lr must be positive"),
             (["eval", "--d-out", "0"], "d_out must be positive"),
+            # A 2-class test split of 16 rows is too small for Recall@16.
+            (
+                ["train", "--test-fraction", "0.2", "--batch", "8", "--per-class", "2", "--steps", "2"],
+                "the evaluated set has 16 rows; Recall@16 needs at least 17",
+            ),
         ],
     )
     def test_rejected_value_leaves_failed_manifest(self, tmp_path, dataset_csv, capsys, argv, error):
@@ -267,14 +272,18 @@ class TestConfigPrecedence:
 
 
     def test_unknown_key_names_file_line_and_key(self, tmp_path, dataset_csv, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("steps = 2\ntua = 0.5\n")
-        out = tmp_path / "o"
-        code = main(["train", "--data", str(dataset_csv), "--config", str(cfg), "-o", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"{cfg}:2" in err and "'tua'" in err
-        assert not (out / "manifest.json").exists()
+        # An unknown key, and a key given twice, which names both lines.
+        cases = [("steps = 2\ntua = 0.5\n", 2, "'tua'"),
+                 ("tau = 0.1\nsteps = 2\ntau = 0.5\n", 3, "'tau' given again, first on line 1")]
+        for text, line, words in cases:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(text)
+            out = tmp_path / "o"
+            code = main(["train", "--data", str(dataset_csv), "--config", str(cfg), "-o", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"{cfg}:{line}" in err and words in err
+            assert not (out / "manifest.json").exists()
 
     def test_seed_line_precedence(self, tmp_path, dataset_csv, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -309,11 +318,21 @@ class TestSeedEnvFallback:
         assert json.loads((out / "manifest.json").read_text())["seed"] == 41
 
     def test_bad_env_seed_usage_error(self, tmp_path, dataset_csv, monkeypatch, capsys):
-        monkeypatch.setenv("RANK_SMOOTH_SEED", "forty-one")
-        code = main(
-            ["train", "--data", str(dataset_csv), "-o", str(tmp_path / "o")]
-        )
-        assert code == 2
+        # An unreadable seed, and a negative one from each source, fail before any manifest.
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -1\n")
+        cases = [
+            ("forty-one", [], "RANK_SMOOTH_SEED: cannot read 'forty-one'"),
+            ("-1", [], "RANK_SMOOTH_SEED: -1 is negative"),
+            ("0", ["--seed", "-1"], "seed: -1 is negative"),
+            ("0", ["--config", str(cfg)], "seed: -1 is negative"),
+        ]
+        for env, extra, error in cases:
+            monkeypatch.setenv("RANK_SMOOTH_SEED", env)
+            out = tmp_path / "o"
+            assert main(["train", "--data", str(dataset_csv), "-o", str(out), *extra]) == 2
+            assert error in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
 
 
 class TestEval:

@@ -50,6 +50,16 @@ class TestEncode:
         with pytest.raises(NormalizationError, match="row 1"):
             encode(feats, np.arange(2), params)
 
+    @pytest.mark.parametrize("hidden_dim", [None, 5])
+    def test_feature_width_mismatch_names_both_widths(self, hidden_dim):
+        params = init_encoder(8, 4, seed=0, hidden_dim=hidden_dim)
+        feats = np.ones((3, 10))
+        message = "^features have 10 columns; the encoder takes 8$"
+        with pytest.raises(ValueError, match=message):
+            encode(feats, np.arange(3), params)
+        with pytest.raises(ValueError, match=message):
+            encode_backward(feats, params, np.ones((3, 4)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_is_error(self, bad):
         x = np.array([[1.0, 0.0], [0.0, 2.0], [bad, 1.0]])

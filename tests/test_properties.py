@@ -19,13 +19,14 @@ from helpers import (
     pairwise_ap,
     pairwise_mean_ap,
     per_anchor_triplet,
+    per_pair_contrastive,
     per_query_map_and_recall,
     per_query_operating_region,
     per_query_sets,
     precision_at_hit_ap,
     sorted_recall_at_k,
 )
-from ranksmooth.baselines import TripletConfig, triplet_loss
+from ranksmooth.baselines import TripletConfig, contrastive_loss, triplet_loss
 from ranksmooth.data import Dataset, SamplerConfig, SamplerState, next_batch
 from ranksmooth.encoder import EncoderParams, encode
 from ranksmooth.ranking import (
@@ -142,6 +143,18 @@ def test_triplet_loss_equals_per_anchor_loop(batch, margin):
     assert np.array_equal(out.score_grad, score_grad)
     assert np.array_equal(out.embedding_grad, embedding_grad)
     assert abs(out.loss - loss) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(batches(TRIPLET_CLASS_SIZES), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+def test_contrastive_loss_equals_per_pair_loop(batch, margin):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # singleton classes are skipped with a warning
+        out = contrastive_loss(batch, margin, allow_degenerate=True)
+    loss, score_grad, embedding_grad = per_pair_contrastive(batch, margin)
+    assert out.loss == loss
+    assert np.array_equal(out.score_grad, score_grad)
+    assert np.array_equal(out.embedding_grad, embedding_grad)
 
 
 @PROPERTY_SETTINGS
