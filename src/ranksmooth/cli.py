@@ -53,6 +53,7 @@ from .experiments import (
     CsvSpec,
     SyntheticSpec,
     TrainConfig,
+    _usable_cores,
     ablate,
     approx_error_sweep,
     build_dataset,
@@ -220,14 +221,13 @@ def _environment():
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # older NumPy has no "dicts" mode
         blas = {}
-    affinity = getattr(os, "sched_getaffinity", None)
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     return {
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
-        "cores": len(affinity(0)) if affinity else os.cpu_count(),
+        "cores": _usable_cores(),
         **{var: os.environ.get(var) for var in threads},
     }
 

@@ -37,8 +37,11 @@ class CsvFormatError(ValueError):
     """A feature CSV violates the documented row format."""
 
     def __init__(self, message, line):
-        self.line = line
+        self.message, self.line = message, line
         super().__init__(f"line {line}: {message}")
+
+    def __reduce__(self):  # unpickle from the arguments, not the formatted text
+        return type(self), (self.message, self.line)
 
 
 class RaggedRowError(CsvFormatError):

@@ -4,9 +4,13 @@ Every fact needed to reproduce a run lives in TrainConfig, which train
 and both sweeps pass to _train_steps; all randomness flows from its seed
 through explicit streams (encoder init, batch sampler), so identical
 configs produce bit-identical metric logs. Wall times are recorded
-alongside but are the one intentionally non-repeatable quantity.
+alongside but are the one intentionally non-repeatable quantity. The
+independent runs of an ablation or a sweep spread over one forked worker
+per usable core (_map_runs) with the same results.
 """
 
+import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -278,6 +282,58 @@ def train(cfg):
     return TrainResult(config=cfg, records=tuple(records), params=params)
 
 
+def _usable_cores():
+    """The cores this process may run on, as the manifest records them."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+# A forked worker's run and task list, set by _adopt in the worker only.
+_worker_job = None
+
+
+def _adopt(run, tasks):
+    global _worker_job
+    _worker_job = run, tasks
+
+
+def _run_task(i):
+    run, tasks = _worker_job
+    return run(tasks[i])
+
+
+def _map_runs(run, tasks):
+    """[run(task) for task in tasks], spread over one forked worker per
+    usable core.
+
+    Each run is a pure function of its task (its config and seed stream),
+    and linalg.product keeps every product on the worker's one thread, so
+    the results are bit-identical to the serial loop's. The workers
+    inherit run and tasks through fork, so a closure serves; results and
+    exceptions come back pickled. Once every worker is joined, the first
+    failing task in task order raises, as in the serial loop. Runs
+    serially with one usable core or one task, and off Linux.
+
+    Every worker forks before the pool starts its manager thread, and
+    OpenBLAS stops its idle threads around fork(), so the process that
+    forks runs one thread.
+    """
+    workers = min(len(tasks), _usable_cores())
+    if workers < 2 or sys.platform != "linux":
+        return [run(task) for task in tasks]
+    # Imported here, so that the single-run commands never pay for it.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_adopt,
+                               initargs=(run, tasks))
+    try:
+        futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 _ABLATION_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
@@ -292,11 +348,8 @@ def ablate(base_cfg, param, values):
     if not values:
         raise ValueError("values must list at least one value")
     configs = [replace(base_cfg, **{param: value}) for value in values]
-    rows = []
-    for value, cfg in zip(values, configs):
-        result = train(cfg)
-        rows.append((value, result.final, result))
-    return rows
+    results = _map_runs(train, configs)
+    return [(value, result.final, result) for value, result in zip(values, results)]
 
 
 def _max_rel_error(analytic, numeric):
@@ -384,14 +437,14 @@ def approx_error_sweep(dataset, taus=(0.1, 0.01, 0.001), steps=20, *,
         raise ValueError(f"steps must be at least 1, got {steps}")
     base = TrainConfig(batch_size=batch_size, per_class=per_class, d_out=d_out, lr=lr,
                        weight_decay=weight_decay, seed=seed)
-    out = {}
-    for cfg in [replace(base, tau=tau) for tau in taus]:
+    configs = [replace(base, tau=tau) for tau in taus]
+
+    def errors(cfg):
         batches = islice(_sampled(dataset, cfg), steps)
         diag = cfg.smooth_ap
-        out[cfg.tau] = [
-            batch_ap_error(batch, diag) for batch, _, _ in _train_steps(dataset, batches, cfg)
-        ]
-    return out
+        return [batch_ap_error(batch, diag) for batch, _, _ in _train_steps(dataset, batches, cfg)]
+
+    return {cfg.tau: errs for cfg, errs in zip(configs, _map_runs(errors, configs))}
 
 
 def operating_region_sweep(dataset, batch_sizes=(32, 64, 128, 256), *, tau=TrainConfig.tau,
@@ -435,15 +488,14 @@ def operating_region_sweep(dataset, batch_sizes=(32, 64, 128, 256), *, tau=Train
             except DegenerateQueryError:  # no row has a positive
                 return None
 
-    out = {}
-    for b in batch_sizes:
-        fractions = []
-        for rep in range(repeats):
-            cfg = replace(base, seed=seed + rep)
-            batches = (orders[rep][i * b : (i + 1) * b] for i in range(max(1, len(dataset) // b)))
-            fractions.extend(
-                batch_operating_region(batch, diag)
-                for batch, _, _ in _train_steps(dataset, batches, cfg, loss_fn)
-            )
-        out[b] = float(np.mean(fractions))
-    return out
+    def fractions(task):
+        b, rep = task
+        cfg = replace(base, seed=seed + rep)
+        batches = (orders[rep][i * b : (i + 1) * b] for i in range(max(1, len(dataset) // b)))
+        return [
+            batch_operating_region(batch, diag)
+            for batch, _, _ in _train_steps(dataset, batches, cfg, loss_fn)
+        ]
+
+    runs = iter(_map_runs(fractions, [(b, rep) for b in batch_sizes for rep in range(repeats)]))
+    return {b: float(np.mean([f for _ in range(repeats) for f in next(runs)])) for b in batch_sizes}

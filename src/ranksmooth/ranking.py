@@ -56,6 +56,9 @@ class DegenerateQueryError(ValueError):
         self.class_id = class_id
         super().__init__(self.template.format(class_id))
 
+    def __reduce__(self):  # unpickle from the class id, not the formatted text
+        return type(self), (self.class_id,)
+
 
 @dataclass(frozen=True)
 class ScoredSet:
@@ -158,7 +161,7 @@ def _ranked_ap(scores, labels):
     """
     order = _descending_order(scores)
     ranked = np.take_along_axis(labels, order, axis=1)
-    hit_at = np.nonzero(ranked)[1].reshape(len(labels), -1)  # ascending per row
+    hit_at = (np.flatnonzero(ranked) % ranked.shape[1]).reshape(len(labels), -1)  # ascending per row
     # The k-th hit (from 1) at rank r (from 1) has precision k / r.
     precision = np.arange(1, hit_at.shape[1] + 1) / (hit_at + 1)
     by_index = np.argsort(np.take_along_axis(order, hit_at, axis=1), axis=1)

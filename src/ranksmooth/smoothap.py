@@ -149,7 +149,7 @@ def _smooth_ap_block(scores, labels, tau):
     terms zeroed, and pos_at, the (rows, |P|) positive columns.
     """
     rows = np.arange(len(scores))[:, None]
-    pos_at = np.nonzero(labels)[1].reshape(len(scores), -1)
+    pos_at = (np.flatnonzero(labels) % labels.shape[1]).reshape(len(scores), -1)
     pos = np.arange(pos_at.shape[1])
     g, gprime = _sigmoid_parts(scores[:, None, :] - scores[rows, pos_at][:, :, None], tau)
     g[rows, pos, pos_at] = gprime[rows, pos, pos_at] = 0.0  # the j = i self term

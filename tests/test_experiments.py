@@ -1,11 +1,25 @@
 import dataclasses
+import multiprocessing
+import os
+import pickle
+import time
 
 import numpy as np
 import pytest
 
 from helpers import loss_timing
 from ranksmooth import experiments
-from ranksmooth.data import gen_synthetic_clusters
+from ranksmooth.baselines import SingleClassBatchError
+from ranksmooth.cli import CheckFailed, UsageError
+from ranksmooth.data import (
+    CsvFormatError,
+    DuplicateIdError,
+    FieldFormatError,
+    RaggedRowError,
+    SamplerError,
+    gen_synthetic_clusters,
+)
+from ranksmooth.encoder import CheckpointFormatError
 from ranksmooth.experiments import (
     CsvSpec,
     SyntheticSpec,
@@ -16,6 +30,7 @@ from ranksmooth.experiments import (
     operating_region_sweep,
     train,
 )
+from ranksmooth.ranking import DegenerateLabelsError, DegenerateQueryError
 
 # Test split must keep at least 17 instances so Recall@16 is defined.
 TINY_DATA = SyntheticSpec(num_classes=10, per_class=8, dim=12, noise_sigma=0.15, signal_dim=6)
@@ -302,6 +317,98 @@ class TestOperatingRegionSweep:
         ds = gen_synthetic_clusters(6, 4, 8, 0.2, seed=6)
         out = operating_region_sweep(ds, [4, 12], repeats=1)
         assert all(0.0 <= v <= 1.0 for v in out.values())
+
+
+def _cores(monkeypatch, cores):
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
+
+
+def _ablation_outputs(rows):
+    """Everything an ablation returns but the wall times."""
+    return [
+        (value, [dataclasses.replace(r, wall_ms=0.0) for r in result.records],
+         result.params.weight.tobytes())
+        for value, _, result in rows
+    ]
+
+
+class TestMapRuns:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: approx_error_sweep(gen_synthetic_clusters(8, 6, 12, 0.15, seed=2, signal_dim=6),
+                                       [0.1, 0.01, 0.001], steps=3, batch_size=8, per_class=2,
+                                       d_out=6),
+            lambda: operating_region_sweep(gen_synthetic_clusters(6, 4, 8, 0.2, seed=4), [4, 8, 12],
+                                           repeats=3, seed=5),
+            lambda: _ablation_outputs(ablate(tiny_config(steps=2, eval_every=2), "tau",
+                                             [0.05, 0.5, 0.01])),
+        ],
+        ids=["approx_error_sweep", "operating_region_sweep", "ablate"],
+    )
+    def test_two_workers_match_one(self, monkeypatch, call):
+        outputs = []
+        for cores in (1, 2):
+            _cores(monkeypatch, cores)
+            outputs.append(call())
+        assert outputs[0] == outputs[1]
+
+    def test_runs_in_workers(self, monkeypatch):
+        _cores(monkeypatch, 2)
+        pids = experiments._map_runs(lambda task: os.getpid(), [0, 1, 2])
+        assert os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_serial_on_one_core(self, monkeypatch):
+        _cores(monkeypatch, 1)
+        assert experiments._map_runs(lambda task: os.getpid(), [0, 1]) == [os.getpid()] * 2
+
+    def test_worker_error_reaches_caller(self, monkeypatch, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0,1,0.5,0.25\n1,1,0.1\n")
+        _cores(monkeypatch, 2)
+        with pytest.raises(RaggedRowError, match="^line 2: ") as caught:
+            ablate(tiny_config(data=CsvSpec(path=str(path))), "tau", [0.1, 0.2])
+        assert caught.value.line == 2
+        assert multiprocessing.active_children() == []
+
+    def test_first_failure_in_task_order(self, monkeypatch):
+        def run(task):
+            if task == 1:
+                time.sleep(0.3)  # task 3 fails first in time
+            if task % 2:
+                raise DegenerateQueryError(task)
+            return task
+
+        _cores(monkeypatch, 2)
+        with pytest.raises(DegenerateQueryError, match="^class 1 has a single instance") as caught:
+            experiments._map_runs(run, [0, 1, 2, 3])
+        assert caught.value.class_id == 1
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        CsvFormatError("bad row", 3),
+        RaggedRowError("ragged", 4),
+        FieldFormatError("not a number", 5),
+        DuplicateIdError("id 7 repeats", 6),
+        SamplerError("too few classes"),
+        DegenerateLabelsError("no positives"),
+        DegenerateQueryError(5),
+        SingleClassBatchError(2),
+        CheckpointFormatError("bad magic"),
+        UsageError("bad flag"),
+        CheckFailed("failed check"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_error_survives_pickling(error):
+    # A run that fails in a pool worker reaches the caller pickled.
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert (str(back), back.args, vars(back)) == (str(error), error.args, vars(error))
 
 
 class TestLossTiming:
