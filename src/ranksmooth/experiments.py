@@ -110,6 +110,9 @@ class TrainConfig:
         # fails here and not at the first training step.
         self.smooth_ap
         self.sampler
+        if self.per_class < 2:
+            raise ValueError(f"per_class must be at least 2, got {self.per_class}: a batch with "
+                             f"one instance per class gives no query a positive")
         if self.loss != "smooth-ap" and self.batch_size == self.per_class:
             raise ValueError(f"loss {self.loss} needs a negative for every query, but a batch "
                              f"of batch_size = per_class = {self.per_class} holds one class")

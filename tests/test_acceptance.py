@@ -182,36 +182,32 @@ def test_criterion_6_training_efficacy():
 
 
 def test_criterion_7_ablation_trends():
-    def base_config(seed):
-        return TrainConfig(
-            loss="smooth-ap",
-            tau=0.01,
-            batch_size=128,
-            per_class=4,
-            steps=800,
-            eval_every=800,
-            lr=1e-3,
-            seed=seed,
-            data=SyntheticSpec(num_classes=64, per_class=20, noise_sigma=0.2),
-            test_fraction=0.25,
-        )
+    base = TrainConfig(
+        loss="smooth-ap",
+        tau=0.01,
+        batch_size=128,
+        per_class=4,
+        steps=800,
+        eval_every=800,
+        lr=1e-3,
+        seed=0,
+        data=SyntheticSpec(num_classes=64, per_class=20, noise_sigma=0.2),
+        test_fraction=0.25,
+    )
 
+    def seed_mean(cfg):
+        # The three seeds of cfg train together on ablate's worker pool.
+        return float(np.mean([final.test_map for _, final, _ in ablate(cfg, "seed", [0, 1, 2])]))
+
+    # Each grid lists the base value first; train is deterministic
+    # (criterion 9), so the base config trains once per seed.
     grids = {"tau": [0.01, 0.1], "per_class": [4, 16], "batch_size": [128, 32]}
-    finals = {param: {v: [] for v in values} for param, values in grids.items()}
-    for seed in (0, 1, 2):
-        # Each grid lists the base value first; train is deterministic
-        # (criterion 9), so the base config trains once per seed.
-        base = base_config(seed)
-        base_map = train(base).final.test_map
-        for param, values in grids.items():
-            assert getattr(base, param) == values[0]
-            finals[param][values[0]].append(base_map)
-            for value, final, _ in ablate(base, param, values[1:]):
-                finals[param][value].append(final.test_map)
-    means = {
-        param: {v: float(np.mean(maps)) for v, maps in by_value.items()}
-        for param, by_value in finals.items()
-    }
+    base_map = seed_mean(base)
+    means = {}
+    for param, values in grids.items():
+        assert getattr(base, param) == values[0]
+        means[param] = {values[0]: base_map,
+                        values[1]: seed_mean(replace(base, **{param: values[1]}))}
 
     tau_ok = means["tau"][0.01] >= means["tau"][0.1]
     pc_ok = means["per_class"][4] >= means["per_class"][16]

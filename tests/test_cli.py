@@ -241,7 +241,10 @@ class TestTrain:
 class TestConfigPrecedence:
     def test_file_supplies_value_flag_overrides(self, tmp_path, dataset_csv):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("steps = 4\neval_every = 2\ntau = 0.05\nbatch = 8\nper_class = 2\nd_out = 6\ntest_fraction = 0.3\n")
+        cfg.write_text(
+            "# a comment-only line, then a blank one\n\nbias = yes\n"
+            "steps = 4\neval_every = 2\ntau = 0.05\nbatch = 8\nper_class = 2\nd_out = 6\ntest_fraction = 0.3\n"
+        )
         out_file = tmp_path / "from_file"
         code = main(
             ["train", "--data", str(dataset_csv), "--config", str(cfg), "-o", str(out_file)]
@@ -249,6 +252,7 @@ class TestConfigPrecedence:
         assert code == 0
         rows = (out_file / "metrics.csv").read_text().splitlines()
         assert len(rows) == 1 + 3  # steps 0, 2, 4
+        assert json.loads((out_file / "manifest.json").read_text())["config"]["bias"] is True
 
         out_flag = tmp_path / "flag_wins"
         code = main(
@@ -338,18 +342,16 @@ class TestSeedEnvFallback:
 class TestEval:
     def test_eval_fresh_and_checkpoint(self, tmp_path, dataset_csv):
         _, out = run_train(tmp_path, dataset_csv)
-        eval_out = tmp_path / "eval"
-        code = main(
-            [
-                "eval", "--data", str(dataset_csv), "--checkpoint", str(out / "encoder.bin"),
-                "--seed", "0", "-o", str(eval_out),
-            ]
-        )
-        assert code == 0
-        lines = (eval_out / "metrics.csv").read_text().splitlines()
-        assert len(lines) == 2
-        values = lines[1].split(",")
-        assert 0.0 <= float(values[2]) <= 1.0
+        for name, checkpoint in [("fresh", ()), ("trained", ("--checkpoint", str(out / "encoder.bin")))]:
+            eval_out = tmp_path / name
+            code = main(
+                ["eval", "--data", str(dataset_csv), *checkpoint, "--seed", "0", "-o", str(eval_out)]
+            )
+            assert code == 0
+            lines = (eval_out / "metrics.csv").read_text().splitlines()
+            assert len(lines) == 2
+            values = lines[1].split(",")
+            assert 0.0 <= float(values[2]) <= 1.0
 
     @pytest.mark.parametrize("magic, hidden_dim", [(b"RSM1", None), (b"RSM2", 5)])
     def test_checkpoint_metrics_equal_library_kernels(self, tmp_path, dataset_csv, magic, hidden_dim):
@@ -432,13 +434,15 @@ class TestGradCheckCommand:
 
 
     def test_report_csv_written(self, tmp_path, capsys):
-        out = tmp_path / "gc"
-        code = main(["grad-check", "--m", "8", "--d", "4", "-o", str(out)])
-        assert code == 0
-        lines = (out / "grad_check.csv").read_text().splitlines()
-        assert len(lines) == 2
-        assert lines[1].startswith("smooth-ap,1.0,")
-        assert lines[1].endswith(",1")
+        # The pair losses have no temperature, so their tau column reads nan.
+        for loss, tau in [("smooth-ap", "1.0"), ("triplet", "nan"), ("contrastive", "nan")]:
+            out = tmp_path / loss
+            code = main(["grad-check", "--loss", loss, "--m", "8", "--d", "4", "-o", str(out)])
+            assert code == 0
+            lines = (out / "grad_check.csv").read_text().splitlines()
+            assert len(lines) == 2
+            assert lines[1].startswith(f"{loss},{tau},")
+            assert lines[1].endswith(",1")
 
 
     def test_report_manifest_lists_csv(self, tmp_path, capsys):
