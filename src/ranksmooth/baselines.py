@@ -36,16 +36,16 @@ class SingleClassBatchError(DegenerateQueryError):
     template = "class {} is the only class in the batch; no query has a negative"
 
 
-def _pair_queries(batch, allow_degenerate, context):
+def _pair_queries(batch):
     """queries_with_positives for a pair loss, whose queries also need a
     negative: a batch of one class has none."""
-    num_pos = queries_with_positives(batch.class_ids, allow_degenerate, context)
+    num_pos = queries_with_positives(batch.class_ids)
     if num_pos.max() == len(batch) - 1:
         raise SingleClassBatchError(int(batch.class_ids[0]))
     return num_pos
 
 
-def triplet_loss(batch, cfg, allow_degenerate=False):
+def triplet_loss(batch, cfg):
     """Margin hinge loss over (anchor, positive, negative) triples.
 
     Scores are cosine similarities to the anchor; each triple contributes
@@ -56,7 +56,7 @@ def triplet_loss(batch, cfg, allow_degenerate=False):
     """
     unit, norms = normalize_rows(batch.vectors)
     m = len(batch)
-    num_pos = _pair_queries(batch, allow_degenerate, "triplet_loss")
+    num_pos = _pair_queries(batch)
     score_grad = np.zeros((m, m))
     total, count = 0.0, 0
     for at, where, scores, labels in _query_blocks(unit, batch.class_ids, num_pos, lambda p: p * (m - 1)):
@@ -78,7 +78,7 @@ def triplet_loss(batch, cfg, allow_degenerate=False):
     return LossOutput(loss=float(total), score_grad=score_grad, embedding_grad=embedding_grad)
 
 
-def contrastive_loss(batch, margin, allow_degenerate=False):
+def contrastive_loss(batch, margin):
     """Pairwise contrastive loss in cosine form.
 
     Mean over positive pairs of (1 - s) plus mean over negative pairs of
@@ -86,7 +86,7 @@ def contrastive_loss(batch, margin, allow_degenerate=False):
     """
     TripletConfig(margin)  # rejects a negative margin
     unit, norms = normalize_rows(batch.vectors)
-    _pair_queries(batch, allow_degenerate, "contrastive_loss")
+    _pair_queries(batch)
     sims = product(unit, unit.T)
     upper = np.triu(np.ones(sims.shape, dtype=bool), k=1)  # row-major: (i, j), i < j
     same = batch.class_ids[:, None] == batch.class_ids

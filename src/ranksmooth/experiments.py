@@ -12,7 +12,6 @@ per usable core (_map_runs) with the same results.
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import islice
@@ -113,6 +112,8 @@ class TrainConfig:
         if self.per_class < 2:
             raise ValueError(f"per_class must be at least 2, got {self.per_class}: a batch with "
                              f"one instance per class gives no query a positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.loss != "smooth-ap" and self.batch_size == self.per_class:
             raise ValueError(f"loss {self.loss} needs a negative for every query, but a batch "
                              f"of batch_size = per_class = {self.per_class} holds one class")
@@ -461,9 +462,10 @@ def operating_region_sweep(dataset, batch_sizes=(32, 64, 128, 256), *, tau=Train
     update, and a fresh encoder trains through every epoch. Within a
     repeat, every batch size sees the same shuffle and the same encoder
     init (common random numbers), so the comparison isolates the
-    batch-size effect. Batches with no positive pair (always the case for
-    B=1) are measured but cannot train. The epoch is repeated with fresh
-    shuffles and inits and the fractions averaged.
+    batch-size effect. The loss silently skips rows with no positive, and
+    a batch with no positive pair (always the case for B=1) is measured
+    but cannot train. The epoch is repeated with fresh shuffles and inits
+    and the fractions averaged.
 
     The learning rate deliberately compresses a meaningful amount of
     training into one desk-scale epoch (a thousand instances); at tiny
@@ -484,12 +486,10 @@ def operating_region_sweep(dataset, batch_sizes=(32, 64, 128, 256), *, tau=Train
     orders = [SamplerState(seed, rep).rng().permutation(len(dataset)) for rep in range(repeats)]
 
     def loss_fn(batch):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                return smooth_ap_loss(batch, diag, allow_degenerate=True)
-            except DegenerateQueryError:  # no row has a positive
-                return None
+        try:
+            return smooth_ap_loss(batch, diag, allow_degenerate=True)
+        except DegenerateQueryError:  # no row has a positive
+            return None
 
     def fractions(task):
         b, rep = task

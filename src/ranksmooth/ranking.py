@@ -15,8 +15,6 @@ reads its blocks from one iterator, _query_blocks, over the positive
 counts that queries_with_positives takes once per call.
 """
 
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +108,8 @@ class EmbeddingBatch:
             raise ValueError("vectors must be a 2-D matrix")
         if class_ids.ndim != 1 or class_ids.shape[0] != vectors.shape[0]:
             raise ValueError("class_ids must have one entry per embedding row")
+        if vectors.shape[0] < 1:
+            raise ValueError("batch must contain at least one row")
         norms = np.linalg.norm(vectors, axis=1)
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))  # NaN norms too
         if bad.size:
@@ -168,68 +168,57 @@ def _ranked_ap(scores, labels):
     return hit_at[:, 0], np.mean(np.take_along_axis(precision, by_index, axis=1), axis=1)
 
 
-def queries_with_positives(class_ids, allow_degenerate, context):
+def queries_with_positives(class_ids, allow_degenerate=False):
     """Each batch row's positive count: the other rows of its class, which
     are its positives as a query. A count of 0 marks a row with no positive
     set, which is not a query.
 
-    Such rows raise DegenerateQueryError naming the first one's class, or
-    with allow_degenerate stay 0 under a warning issued at the calling line
-    outside this package; a batch with no query always raises.
+    The one degenerate-batch rule of every batch kernel: such a row raises
+    DegenerateQueryError naming its class, unless allow_degenerate (which
+    only smooth_ap_loss passes on) keeps it as a silent 0; a batch with no
+    query always raises.
     """
     _, inverse, counts = np.unique(class_ids, return_inverse=True, return_counts=True)
     num_pos = counts[inverse] - 1
-    if not num_pos.all():
-        first = int(class_ids[np.argmin(num_pos)])
-        if not allow_degenerate:
-            raise DegenerateQueryError(first)
-        level, frame = 2, sys._getframe(1)
-        while frame is not None and frame.f_globals.get("__package__") == __package__:
-            level, frame = level + 1, frame.f_back
-        warnings.warn(
-            f"{context}: skipping {np.count_nonzero(num_pos == 0)} query(ies) with no in-batch "
-            f"positive, e.g. class {first}",
-            stacklevel=level,
-        )
-    if not num_pos.any():
-        raise DegenerateQueryError(int(class_ids[0]) if class_ids.size else -1)
+    if not (num_pos.any() if allow_degenerate else num_pos.all()):
+        raise DegenerateQueryError(int(class_ids[np.argmin(num_pos)]))
     return num_pos
 
 
-def mean_ap(batch, allow_degenerate=False):
+def mean_ap(batch):
     """Mean AP over the batch, each instance used in turn as the query.
 
-    The query is removed from its own retrieval set. Classes with a single
-    instance are an error unless allow_degenerate is set, in which case
-    their queries are skipped with a warning.
+    The query is removed from its own retrieval set. A class with a single
+    instance is an error (DegenerateQueryError), never a mean over fewer
+    queries.
     """
-    return _exact_metrics(batch, (), allow_degenerate, "mean_ap")[0]
+    return _exact_metrics(batch, ())[0]
 
 
-def recall_at_k(batch, ks, allow_degenerate=False):
+def recall_at_k(batch, ks):
     """Fraction of queries with at least one positive in their top k.
 
     Retrieval is by descending score with index tie-breaking, self
     excluded. Every k must be smaller than the batch size.
     """
-    return _exact_metrics(batch, ks, allow_degenerate, "recall_at_k")[1]
+    return _exact_metrics(batch, ks)[1]
 
 
-def map_and_recall(batch, ks, allow_degenerate=False):
+def map_and_recall(batch, ks):
     """(mean_ap(batch), recall_at_k(batch, ks)), equal to those two calls
     but sorting each query once for both."""
-    return _exact_metrics(batch, ks, allow_degenerate, "map_and_recall")
+    return _exact_metrics(batch, ks)
 
 
-def _exact_metrics(batch, ks, allow_degenerate, context):
-    """Mean AP and {k: Recall@k} over the queries with a positive, ranked a
-    block of query rows at a time; APs are averaged in query order."""
+def _exact_metrics(batch, ks):
+    """Mean AP and {k: Recall@k} over the batch's queries, ranked a block of
+    query rows at a time; APs are averaged in query order."""
     m = len(batch)
     ks = [int(k) for k in ks]
     for k in ks:
         if k < 1 or k >= m:
             raise ValueError(f"k={k} must satisfy 1 <= k < batch size {m}")
-    num_pos = queries_with_positives(batch.class_ids, allow_degenerate, context)
+    num_pos = queries_with_positives(batch.class_ids)
     ap = np.empty(np.count_nonzero(num_pos))
     hits = dict.fromkeys(ks, 0)
     for at, _, scores, labels in _query_blocks(batch.vectors, batch.class_ids, num_pos,

@@ -165,11 +165,13 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
     restricted to its positives, i.e. O(m^2 * per-class count) overall for
     class-balanced batches. Queries that share a positive count form
     (rows, |P|, m - 1) blocks of differences (_smooth_ap_block), and the
-    backward pass runs in the same blocks.
+    backward pass runs in the same blocks. A row with no positive raises
+    DegenerateQueryError, as in every batch kernel, unless allow_degenerate
+    leaves it out silently.
     """
     m = len(batch)
     unit, norms = normalize_rows(batch.vectors)
-    num_pos = queries_with_positives(batch.class_ids, allow_degenerate, "smooth_ap_loss")
+    num_pos = queries_with_positives(batch.class_ids, allow_degenerate)
     ap = np.empty(np.count_nonzero(num_pos))
     score_grad = np.zeros((m, m))
     for at, where, scores, labels in _query_blocks(unit, batch.class_ids, num_pos, lambda p: p * (m - 1)):
@@ -201,10 +203,10 @@ def ap_approx_error(scored, cfg):
     return abs(smooth_ap_query(scored, cfg) - exact_ap(scored))
 
 
-def batch_ap_error(batch, cfg, allow_degenerate=False):
+def batch_ap_error(batch, cfg):
     """Mean per-query AP approximation error over a batch (self excluded),
     a block of query rows that share a positive count at a time."""
-    num_pos = queries_with_positives(batch.class_ids, allow_degenerate, "batch_ap_error")
+    num_pos = queries_with_positives(batch.class_ids)
     errors = np.empty(np.count_nonzero(num_pos))
     m = len(batch)
     for at, _, scores, labels in _query_blocks(batch.vectors, batch.class_ids, num_pos,

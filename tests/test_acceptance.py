@@ -19,7 +19,7 @@ from ranksmooth.data import gen_synthetic_clusters
 from ranksmooth.experiments import (
     SyntheticSpec,
     TrainConfig,
-    ablate,
+    _map_runs,
     operating_region_sweep,
     train,
 )
@@ -195,19 +195,18 @@ def test_criterion_7_ablation_trends():
         test_fraction=0.25,
     )
 
-    def seed_mean(cfg):
-        # The three seeds of cfg train together on ablate's worker pool.
-        return float(np.mean([final.test_map for _, final, _ in ablate(cfg, "seed", [0, 1, 2])]))
-
     # Each grid lists the base value first; train is deterministic
-    # (criterion 9), so the base config trains once per seed.
+    # (criterion 9), so the base config trains once per seed. All twelve
+    # runs, four configurations by three seeds, share one worker pool.
     grids = {"tau": [0.01, 0.1], "per_class": [4, 16], "batch_size": [128, 32]}
-    base_map = seed_mean(base)
-    means = {}
     for param, values in grids.items():
         assert getattr(base, param) == values[0]
-        means[param] = {values[0]: base_map,
-                        values[1]: seed_mean(replace(base, **{param: values[1]}))}
+    variants = [base] + [replace(base, **{param: values[1]}) for param, values in grids.items()]
+    results = _map_runs(train, [replace(cfg, seed=s) for cfg in variants for s in (0, 1, 2)])
+    base_map, *varied = [float(np.mean([r.final.test_map for r in results[i : i + 3]]))
+                         for i in range(0, len(results), 3)]
+    means = {param: {values[0]: base_map, values[1]: value}
+             for (param, values), value in zip(grids.items(), varied)}
 
     tau_ok = means["tau"][0.01] >= means["tau"][0.1]
     pc_ok = means["per_class"][4] >= means["per_class"][16]

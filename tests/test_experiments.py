@@ -75,12 +75,14 @@ class TestTrainConfig:
             (dict(grad_threshold=0.0), "grad_threshold"),
             (dict(triplet_margin=-0.1), "margin"),
             (dict(per_class=1), "^per_class must be at least 2, got 1: "),
+            (dict(seed=-1), "^seed must be nonnegative, got -1$"),
         ],
     )
     def test_sub_config_checks_run_at_construction(self, overrides, match):
         # The sampler, SmoothApConfig and TripletConfig would each reject
         # the first three values at the first training step; a batch of one
-        # instance per class has no positive, so no loss trains on it.
+        # instance per class has no positive, so no loss trains on it; and
+        # NumPy would reject a negative seed in the middle of a run.
         with pytest.raises(ValueError, match=match):
             tiny_config(**overrides)
 

@@ -4,8 +4,6 @@ references in helpers, on random batches with tied scores, duplicate rows
 and uneven class sizes, and the batch sampler's invariants on uneven
 datasets. Equalities are exact unless a tolerance is given."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,15 +53,16 @@ coordinates = st.one_of(st.integers(-3, 3).map(float), st.floats(0.1, 1.0))
 
 
 CLASS_SIZES = st.lists(st.integers(2, 6), min_size=1, max_size=5)
-# Singleton classes too, and always a second class so anchors have negatives.
-TRIPLET_CLASS_SIZES = st.lists(st.integers(1, 6), min_size=2, max_size=5).filter(
-    lambda sizes: max(sizes) >= 2
-)
+# Always a second class so anchors have negatives.
+TRIPLET_CLASS_SIZES = st.lists(st.integers(2, 6), min_size=2, max_size=5)
 
 # Classes of up to 12 rows make the positive and negative sums run past
 # the 8 terms NumPy's pairwise summation adds in one run, where summation
-# order shows; singleton classes need allow_degenerate.
-WIDE_CLASS_SIZES = st.lists(st.integers(1, 12), min_size=1, max_size=5).filter(
+# order shows. Singleton classes reach only smooth_ap_loss, which skips
+# their rows under allow_degenerate, and the operating region, which
+# needs no positive.
+WIDE_CLASS_SIZES = st.lists(st.integers(2, 12), min_size=1, max_size=5)
+SINGLETON_WIDE_CLASS_SIZES = st.lists(st.integers(1, 12), min_size=1, max_size=5).filter(
     lambda sizes: max(sizes) >= 2
 )
 TAUS = st.sampled_from([0.001, 0.01, 0.1, 1.0])
@@ -136,9 +135,7 @@ def test_map_and_recall_equals_mean_ap_and_recall(rows):
 @PROPERTY_SETTINGS
 @given(batches(TRIPLET_CLASS_SIZES), st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0, 2.5]))
 def test_triplet_loss_equals_per_anchor_loop(batch, margin):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # singleton classes are skipped with a warning
-        out = triplet_loss(batch, TripletConfig(margin=margin), allow_degenerate=True)
+    out = triplet_loss(batch, TripletConfig(margin=margin))
     loss, score_grad, embedding_grad = per_anchor_triplet(batch, margin)
     assert np.array_equal(out.score_grad, score_grad)
     assert np.array_equal(out.embedding_grad, embedding_grad)
@@ -148,9 +145,7 @@ def test_triplet_loss_equals_per_anchor_loop(batch, margin):
 @PROPERTY_SETTINGS
 @given(batches(TRIPLET_CLASS_SIZES), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
 def test_contrastive_loss_equals_per_pair_loop(batch, margin):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # singleton classes are skipped with a warning
-        out = contrastive_loss(batch, margin, allow_degenerate=True)
+    out = contrastive_loss(batch, margin)
     loss, score_grad, embedding_grad = per_pair_contrastive(batch, margin)
     assert out.loss == loss
     assert np.array_equal(out.score_grad, score_grad)
@@ -174,19 +169,13 @@ def test_closed_form_halfwidth_matches_bisection(tau, threshold):
 @given(batches(WIDE_CLASS_SIZES))
 def test_map_and_recall_equals_per_query_loop(batch):
     ks = range(1, len(batch))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # singleton classes are skipped with a warning
-        got = map_and_recall(batch, ks, allow_degenerate=True)
-    assert got == per_query_map_and_recall(batch, ks)
+    assert map_and_recall(batch, ks) == per_query_map_and_recall(batch, ks)
 
 
 @PROPERTY_SETTINGS
 @given(batches(WIDE_CLASS_SIZES), TAUS)
 def test_batch_ap_error_equals_full_matrix_formula_wide_classes(batch, tau):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        got = batch_ap_error(batch, SmoothApConfig(tau), allow_degenerate=True)
-    assert got == full_matrix_ap_error(batch, tau)
+    assert batch_ap_error(batch, SmoothApConfig(tau)) == full_matrix_ap_error(batch, tau)
 
 
 @PROPERTY_SETTINGS
@@ -199,7 +188,7 @@ def test_smooth_ap_query_equals_full_matrix_formula(scored, tau):
 # At tau 100 with threshold 0.005, and at tau 1 with threshold 1, the peak
 # derivative 1 / (4 tau) is at or below the threshold: the region is empty.
 @PROPERTY_SETTINGS
-@given(batches(WIDE_CLASS_SIZES), st.sampled_from([0.001, 0.01, 0.1, 1.0, 100.0]),
+@given(batches(SINGLETON_WIDE_CLASS_SIZES), st.sampled_from([0.001, 0.01, 0.1, 1.0, 100.0]),
        st.sampled_from([0.005, 0.05, 1.0]))
 def test_batch_operating_region_equals_per_query_loop(batch, tau, threshold):
     cfg = SmoothApConfig(tau, threshold)
@@ -223,27 +212,23 @@ def test_batch_operating_region_edge_ties(bases, tau):
 
 
 @PROPERTY_SETTINGS
-@given(batches(WIDE_CLASS_SIZES), st.sampled_from([0.001, 0.01, 0.05, 0.1, 1.0]))
+@given(batches(SINGLETON_WIDE_CLASS_SIZES), st.sampled_from([0.001, 0.01, 0.05, 0.1, 1.0]))
 def test_smooth_ap_loss_matches_per_query_route(batch, tau):
     cfg = SmoothApConfig(tau)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        loss = smooth_ap_loss(batch, cfg, allow_degenerate=True).loss
+    loss = smooth_ap_loss(batch, cfg, allow_degenerate=True).loss
     aps = [smooth_ap_query(ScoredSet(s, y), cfg) for s, y in per_query_sets(batch)]
     assert abs(loss - float(np.mean(1.0 - np.array(aps)))) <= 1e-12
 
 
 @PROPERTY_SETTINGS
-@given(batches(WIDE_CLASS_SIZES), TAUS)
+@given(batches(SINGLETON_WIDE_CLASS_SIZES), TAUS)
 def test_smooth_ap_loss_score_grad_equals_full_matrix_gradient(batch, tau):
     """Each valid query's row of score_grad is -1/Q times the dense
     gradient of its smoothed AP; the self entries and the rows of skipped
     queries are zero. The tolerance is relative to the largest term the
     gradient sums, sigmoid_grad(D[i, j]) / (Q |P|) for a positive i and
     j != i: a gradient that cancels to zero still carries their rounding."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        score_grad = smooth_ap_loss(batch, SmoothApConfig(tau), allow_degenerate=True).score_grad
+    score_grad = smooth_ap_loss(batch, SmoothApConfig(tau), allow_degenerate=True).score_grad
     m = len(batch)
     same = batch.class_ids[:, None] == batch.class_ids[None, :]
     valid = same.sum(axis=1) > 1
@@ -300,26 +285,28 @@ def test_next_batch_invariants(case, seed, counter):
 def test_many_block_batches_equal_per_query_loops(seed):
     """Batches of about 150 rows, large enough that the score rows and
     most positive counts span several row blocks (of the losses too, for
-    seeds 0 and 1), with uneven classes including singletons."""
+    seeds 0 and 1), with uneven classes including singletons, which only
+    the smoothed-AP loss and the operating region see."""
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 13, size=24)
     class_ids = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
     rows = rng.integers(-2, 3, size=(class_ids.size, 3)).astype(float)
     rows[~rows.any(axis=1), 0] = 1.0
     batch = EmbeddingBatch.from_raw(rows, class_ids)
-    ks = (1, 5, 50)
     cfg = SmoothApConfig(0.01)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert map_and_recall(batch, ks, allow_degenerate=True) == per_query_map_and_recall(batch, ks)
-        assert batch_ap_error(batch, cfg, allow_degenerate=True) == full_matrix_ap_error(batch, 0.01)
-        triplet = triplet_loss(batch, TripletConfig(margin=0.1), allow_degenerate=True)
-        smooth_ap = smooth_ap_loss(batch, cfg, allow_degenerate=True).loss
-    loss, score_grad, embedding_grad = per_anchor_triplet(batch, 0.1)
-    assert np.array_equal(triplet.score_grad, score_grad)
-    assert np.array_equal(triplet.embedding_grad, embedding_grad)
-    assert abs(triplet.loss - loss) <= 1e-12
+    smooth_ap = smooth_ap_loss(batch, cfg, allow_degenerate=True).loss
     aps = [smooth_ap_query(ScoredSet(s, y), cfg) for s, y in per_query_sets(batch)]
     assert abs(smooth_ap - float(np.mean(1.0 - np.array(aps)))) <= 1e-12
     halfwidth = operating_region_halfwidth(cfg)
     assert batch_operating_region(batch, cfg) == per_query_operating_region(batch, halfwidth)
+
+    kept = sizes[class_ids] > 1  # the other kernels reject a row with no positive
+    batch = EmbeddingBatch(batch.vectors[kept], class_ids[kept])
+    ks = (1, 5, 50)
+    assert map_and_recall(batch, ks) == per_query_map_and_recall(batch, ks)
+    assert batch_ap_error(batch, cfg) == full_matrix_ap_error(batch, 0.01)
+    triplet = triplet_loss(batch, TripletConfig(margin=0.1))
+    loss, score_grad, embedding_grad = per_anchor_triplet(batch, 0.1)
+    assert np.array_equal(triplet.score_grad, score_grad)
+    assert np.array_equal(triplet.embedding_grad, embedding_grad)
+    assert abs(triplet.loss - loss) <= 1e-12

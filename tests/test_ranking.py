@@ -47,6 +47,10 @@ class TestEmbeddingBatch:
         with pytest.raises(ValueError, match="row 2"):
             EmbeddingBatch.from_raw(vectors, np.array([0, 0, 1, 1]))
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            EmbeddingBatch(np.empty((0, 3)), np.empty(0, int))
+
     def test_from_raw_normalizes(self):
         batch = EmbeddingBatch.from_raw(np.array([[3.0, 4.0], [0.0, 2.0]]), [0, 1])
         assert np.allclose(np.linalg.norm(batch.vectors, axis=1), 1.0)
@@ -165,33 +169,25 @@ class TestMeanAp:
             mean_ap(batch)
         assert err.value.class_id == 7
 
-    def test_singleton_class_skipped_with_flag(self):
-        batch = EmbeddingBatch(
-            np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([0, 0, 9])
-        )
-        with pytest.warns(UserWarning, match="skipping"):
-            value = mean_ap(batch, allow_degenerate=True)
-        assert value == 1.0
 
-
-# Every kernel that skips a query with no positive under allow_degenerate.
-SKIPPING_KERNELS = {
-    "mean_ap": lambda b: mean_ap(b, allow_degenerate=True),
-    "recall_at_k": lambda b: recall_at_k(b, [1], allow_degenerate=True),
-    "map_and_recall": lambda b: map_and_recall(b, [1], allow_degenerate=True),
-    "smooth_ap_loss": lambda b: smooth_ap_loss(b, SmoothApConfig(), allow_degenerate=True),
-    "batch_ap_error": lambda b: batch_ap_error(b, SmoothApConfig(), allow_degenerate=True),
-    "triplet_loss": lambda b: triplet_loss(b, TripletConfig(), allow_degenerate=True),
-    "contrastive_loss": lambda b: contrastive_loss(b, 0.5, allow_degenerate=True),
+# Every batch kernel that ranks queries, at its defaults.
+BATCH_KERNELS = {
+    "mean_ap": mean_ap,
+    "recall_at_k": lambda b: recall_at_k(b, [1]),
+    "map_and_recall": lambda b: map_and_recall(b, [1]),
+    "smooth_ap_loss": lambda b: smooth_ap_loss(b, SmoothApConfig()),
+    "batch_ap_error": lambda b: batch_ap_error(b, SmoothApConfig()),
+    "triplet_loss": lambda b: triplet_loss(b, TripletConfig()),
+    "contrastive_loss": lambda b: contrastive_loss(b, 0.5),
 }
 
 
-@pytest.mark.parametrize("kernel", SKIPPING_KERNELS)
-def test_skipped_query_warning_names_the_calling_line(kernel):
+@pytest.mark.parametrize("kernel", BATCH_KERNELS)
+def test_query_without_positive_names_its_class(kernel):
     batch = EmbeddingBatch(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([0, 0, 9]))
-    with pytest.warns(UserWarning, match=f"^{kernel}: skipping 1 query") as caught:
-        SKIPPING_KERNELS[kernel](batch)
-    assert [w.filename for w in caught] == [__file__]
+    with pytest.raises(DegenerateQueryError, match="^class 9 has a single instance") as err:
+        BATCH_KERNELS[kernel](batch)
+    assert err.value.class_id == 9
 
 
 class TestRecallAtK:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from helpers import (
 )
 from ranksmooth.ranking import (
     DegenerateLabelsError,
+    DegenerateQueryError,
     EmbeddingBatch,
     ScoredSet,
     exact_ap,
@@ -214,12 +217,18 @@ class TestSmoothApLoss:
         assert np.array_equal(a.embedding_grad, b.embedding_grad)
 
     def test_degenerate_query_error_and_flag(self):
+        # Rows 0 and 1 query each other with a tied negative, row 2: each
+        # smoothed AP is 1 / (1 + sigmoid(0)) = 2/3. The flag leaves row 2
+        # out of the mean silently.
         batch = EmbeddingBatch(np.eye(3), np.array([0, 0, 5]))
-        with pytest.raises(Exception, match="class 5"):
+        with pytest.raises(DegenerateQueryError, match="^class 5 "):
             smooth_ap_loss(batch, SmoothApConfig(0.1))
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             out = smooth_ap_loss(batch, SmoothApConfig(0.1), allow_degenerate=True)
-        assert np.isfinite(out.loss)
+        assert caught == []
+        assert out.loss == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert not out.score_grad[2].any()
 
     def test_quadratic_batch_cost_in_rows(self):
         # Cost model sanity: each query forms a (per_class-1, m-1) block of
