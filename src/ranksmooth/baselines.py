@@ -6,6 +6,7 @@ diagnostic: the (negative, positive) index pairs whose order a perfect
 ranking would have to fix. AP reaches 1 exactly when there are none.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ class TripletConfig:
     margin: float = 0.1
 
     def __post_init__(self):
+        if not math.isfinite(self.margin):
+            raise ValueError(f"margin must be finite, got {self.margin}")
         if self.margin < 0:
             raise ValueError(f"margin must be nonnegative, got {self.margin}")
 
@@ -36,13 +39,11 @@ class SingleClassBatchError(DegenerateQueryError):
     template = "class {} is the only class in the batch; no query has a negative"
 
 
-def _pair_queries(batch):
-    """queries_with_positives for a pair loss, whose queries also need a
-    negative: a batch of one class has none."""
-    num_pos = queries_with_positives(batch.class_ids)
-    if num_pos.max() == len(batch) - 1:
-        raise SingleClassBatchError(int(batch.class_ids[0]))
-    return num_pos
+def _check_negatives(class_ids):
+    """A pair loss's queries also need a negative: a batch of one class has
+    none."""
+    if np.all(class_ids == class_ids[0]):
+        raise SingleClassBatchError(int(class_ids[0]))
 
 
 def triplet_loss(batch, cfg):
@@ -55,22 +56,22 @@ def triplet_loss(batch, cfg):
     ranking._query_blocks, as the smoothed-AP loss does.
     """
     unit, norms = normalize_rows(batch.vectors)
-    m = len(batch)
-    num_pos = _pair_queries(batch)
-    score_grad = np.zeros((m, m))
+    sims, _, blocks = _query_blocks(unit, batch.class_ids, per_positive=True)
+    _check_negatives(batch.class_ids)
+    score_grad = np.zeros(sims.shape)
     total, count = 0.0, 0
-    for at, where, scores, labels in _query_blocks(unit, batch.class_ids, num_pos, lambda p: p * (m - 1)):
+    for _, flat, labels, (pos, _, _) in blocks:
         # Each anchor's positives and negatives in ascending column order.
-        s_pos = scores[labels].reshape(at.size, -1)
-        s_neg = scores[~labels].reshape(at.size, -1)
-        hinge = s_neg[:, None, :] - s_pos[:, :, None] + cfg.margin
+        scores, negatives = sims.take(flat), ~labels
+        s_neg = scores[negatives].reshape(len(scores), -1)
+        hinge = s_neg[:, None, :] - scores.take(pos)[:, :, None] + cfg.margin
         active = hinge > 0
         total += np.maximum(hinge, 0.0).sum()  # logged only, never differentiated
         count += hinge.size
-        col_grad = np.empty(labels.shape)
-        col_grad[labels] = -active.sum(axis=2).ravel()
-        col_grad[~labels] = active.sum(axis=1).ravel()
-        score_grad[where] = col_grad
+        col_grad = np.empty(scores.shape)
+        col_grad.ravel()[pos] = -active.sum(axis=2)
+        col_grad[negatives] = active.sum(axis=1).ravel()
+        score_grad.ravel()[flat] = col_grad
     total /= count
     score_grad /= count
 
@@ -86,7 +87,8 @@ def contrastive_loss(batch, margin):
     """
     TripletConfig(margin)  # rejects a negative margin
     unit, norms = normalize_rows(batch.vectors)
-    _pair_queries(batch)
+    queries_with_positives(batch.class_ids)
+    _check_negatives(batch.class_ids)
     sims = product(unit, unit.T)
     upper = np.triu(np.ones(sims.shape, dtype=bool), k=1)  # row-major: (i, j), i < j
     same = batch.class_ids[:, None] == batch.class_ids

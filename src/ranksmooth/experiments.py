@@ -9,6 +9,7 @@ independent runs of an ablation or a sweep spread over one forked worker
 per usable core (_map_runs) with the same results.
 """
 
+import math
 import os
 import sys
 import time
@@ -101,6 +102,9 @@ class TrainConfig:
             raise ValueError(f"hidden_dim must be positive or None, got {self.hidden_dim}")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
+        for name in ("lr", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0:

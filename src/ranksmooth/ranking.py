@@ -11,10 +11,12 @@ query costs O(m log m) and mean AP over N queries O(N^2 log N). Batch
 metrics rank a block of query rows per sort call, with the same numbers as
 one query at a time. Every batch kernel that ranks queries (the exact
 metrics, the smoothed-AP and triplet losses and the AP-error diagnostic)
-reads its blocks from one iterator, _query_blocks, over the positive
-counts that queries_with_positives takes once per call.
+reads its blocks from _query_blocks as read-only index arrays that depend
+only on the batch's layout; a training run's batches share one layout, so
+the per-step kernels build theirs once.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,13 @@ _UNIT_NORM_TOL = 1e-9
 # Elements per scratch array of a block of query rows: few full-size blocks
 # amortize the per-block overhead that a cache-sized budget pays many times.
 _BLOCK_ELEMENTS = 32768
+
+# The batch layouts whose per-positive query blocks stay built (least
+# recently used dropped first), and the most index elements one of them
+# holds: 8 bytes each, plus a label byte per score, so the cache keeps at
+# most about 9 MiB. A run's loss and diagnostics share one layout.
+_LAYOUT_CACHE_SIZE = 2
+_LAYOUT_CACHE_ELEMENTS = 1 << 19
 
 
 class DegenerateLabelsError(ValueError):
@@ -171,18 +180,21 @@ def _ranked_ap(scores, labels):
 def queries_with_positives(class_ids, allow_degenerate=False):
     """Each batch row's positive count: the other rows of its class, which
     are its positives as a query. A count of 0 marks a row with no positive
-    set, which is not a query.
+    set, which is not a query. Also returns the batch's layout, each row's
+    class as the index of the class's first row: batches whose rows fall
+    into the same classes in the same order share it, whatever the ids.
 
     The one degenerate-batch rule of every batch kernel: such a row raises
     DegenerateQueryError naming its class, unless allow_degenerate (which
     only smooth_ap_loss passes on) keeps it as a silent 0; a batch with no
     query always raises.
     """
-    _, inverse, counts = np.unique(class_ids, return_inverse=True, return_counts=True)
+    _, first, inverse, counts = np.unique(class_ids, return_index=True, return_inverse=True,
+                                          return_counts=True)
     num_pos = counts[inverse] - 1
     if not (num_pos.any() if allow_degenerate else num_pos.all()):
         raise DegenerateQueryError(int(class_ids[np.argmin(num_pos)]))
-    return num_pos
+    return num_pos, first[inverse]
 
 
 def mean_ap(batch):
@@ -218,42 +230,83 @@ def _exact_metrics(batch, ks):
     for k in ks:
         if k < 1 or k >= m:
             raise ValueError(f"k={k} must satisfy 1 <= k < batch size {m}")
-    num_pos = queries_with_positives(batch.class_ids)
-    ap = np.empty(np.count_nonzero(num_pos))
+    sims, queries, blocks = _query_blocks(batch.vectors, batch.class_ids, per_positive=False)
+    ap = np.empty(queries)
     hits = dict.fromkeys(ks, 0)
-    for at, _, scores, labels in _query_blocks(batch.vectors, batch.class_ids, num_pos,
-                                               lambda p: m - 1):
-        first_hit, ap[at] = _ranked_ap(scores, labels)
+    for at, flat, labels, _ in blocks:
+        first_hit, ap[at] = _ranked_ap(sims.take(flat), labels)
         for k in ks:
             hits[k] += int(np.count_nonzero(first_hit < k))
     return float(np.mean(ap)), {k: hits[k] / ap.size for k in ks}
 
 
-def _query_blocks(vectors, class_ids, num_pos, row_elements):
-    """The queries in blocks of rows that share a positive count.
+def _query_blocks(vectors, class_ids, per_positive, allow_degenerate=False):
+    """The queries of a batch in blocks of rows that share a positive count.
 
-    vectors are the (m, d) rows of a batch with the given class ids, scored
-    by their Gram matrix, and num_pos each row's positive count from
-    queries_with_positives; the rows with a nonzero count are the queries.
-    Yields (at, where, scores, labels) per block: its positions among the
-    queries, the index (query rows, other columns) of its entries in an
-    (m, m) matrix, and each query's scores and positive labels against the
-    batch's other rows in index order, as (rows, m - 1) arrays. A block
-    holds at most max(1, _BLOCK_ELEMENTS // row_elements(p)) rows of
-    positive count p.
+    vectors are the (m, d) rows of a batch with the given class ids, and
+    allow_degenerate is queries_with_positives'. Returns the batch's Gram
+    matrix, its number of queries and its blocks, each a tuple (at, flat,
+    labels, positives): the block's positions among the queries, the
+    (rows, m - 1) flat index of each query's other columns in an (m, m)
+    matrix, in index order, whether each of those columns is a positive,
+    and in a per-positive block the _positive_index of labels (else None).
+    A block holds at most max(1, _BLOCK_ELEMENTS // (p (m - 1))) rows of
+    positive count p when per_positive, for the kernels that form
+    (rows, p, m - 1) blocks, and _BLOCK_ELEMENTS // (m - 1) otherwise.
+
+    Per-positive blocks come from a cache, as the per-step kernels see one
+    layout again and again, when they hold at most _LAYOUT_CACHE_ELEMENTS
+    indices: m - 1 for each query's scores and p (p + 2) for its
+    positives. Other blocks, such as the exact metrics' of a large
+    evaluated set, are built one at a time as they are read.
     """
-    m = len(vectors)
-    sims = product(vectors, vectors.T)
+    num_pos, layout = queries_with_positives(class_ids, allow_degenerate)
+    p = num_pos[num_pos > 0]
+    if per_positive and np.sum(layout.size - 1 + p * (p + 2)) <= _LAYOUT_CACHE_ELEMENTS:
+        blocks = _cached_blocks(layout.tobytes())
+    else:
+        blocks = _layout_blocks(layout, per_positive)
+    return product(vectors, vectors.T), np.count_nonzero(num_pos), blocks
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _cached_blocks(layout):
+    """The per-positive blocks of a layout given as bytes, built once, with
+    read-only arrays."""
+    blocks = tuple(_layout_blocks(np.frombuffer(layout, dtype=np.intp), per_positive=True))
+    for block in blocks:
+        for array in block[:3] + block[3]:
+            array.flags.writeable = False
+    return blocks
+
+
+def _layout_blocks(layout, per_positive):
+    """Yields _query_blocks' blocks of a layout."""
+    m = layout.size
+    num_pos = np.bincount(layout, minlength=m)[layout] - 1
     queries = np.flatnonzero(num_pos)
     num_pos = num_pos[queries]
-    cols = np.arange(m)
+    cols = np.arange(m - 1)
     for p in np.unique(num_pos):
         group = np.flatnonzero(num_pos == p)
-        step = max(1, _BLOCK_ELEMENTS // row_elements(int(p)))
+        step = max(1, _BLOCK_ELEMENTS // (int(p) * (m - 1) if per_positive else m - 1))
         for start in range(0, group.size, step):
             at = group[start : start + step]
-            q = queries[at]
-            others = cols != q[:, None]  # all but the query's own column
-            scores = sims[q][others].reshape(q.size, m - 1)
-            labels = (class_ids == class_ids[q][:, None])[others].reshape(q.size, m - 1)
-            yield at, (q[:, None], cols[:-1] + (cols[:-1] >= q[:, None])), scores, labels
+            q = queries[at][:, None]
+            others = cols + (cols >= q)  # all but the query's own column
+            labels = layout[others] == layout[q]
+            yield at, q * m + others, labels, _positive_index(labels) if per_positive else None
+
+
+def _positive_index(labels):
+    """Flat indices of a (rows, n) label block's positives, each row with
+    the same count p, for the kernels that form a (rows, p, n) block over
+    each query's positives: pos, the (rows, p) positives in the (rows, n)
+    block; own, the (rows, p) entries [r, i, pos[r, i]] of the (rows, p, n)
+    block; and pairs, its (rows, p, p) entries [r, i, pos[r, k]]. Positives
+    run in ascending column order."""
+    rows, n = labels.shape
+    pos = np.flatnonzero(labels).reshape(rows, -1)
+    at = pos - n * np.arange(rows)[:, None]  # each positive's column
+    lines = n * np.arange(pos.size).reshape(pos.shape)  # the start of each [r, i] line
+    return pos, lines + at, lines[:, :, None] + at[:, None, :]

@@ -30,10 +30,10 @@ from .linalg import normalize_rows, product, similarity_backward
 from .ranking import (
     _BLOCK_ELEMENTS,
     DegenerateLabelsError,
+    _positive_index,
     _query_blocks,
     _ranked_ap,
     exact_ap,
-    queries_with_positives,
 )
 
 __all__ = [
@@ -59,10 +59,12 @@ class SmoothApConfig:
     grad_threshold: float = 0.005
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not self.grad_threshold > 0:
-            raise ValueError(f"grad_threshold must be positive, got {self.grad_threshold}")
+        for name in ("tau", "grad_threshold"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -133,29 +135,29 @@ def smooth_ap_query(scored, cfg):
     """
     if not scored.labels.any():
         raise DegenerateLabelsError("cannot compute smoothed AP with no positive labels")
-    numer, denom = _smooth_ap_block(scored.scores[None], scored.labels[None], cfg.tau)[:2]
+    positives = _positive_index(scored.labels[None])
+    numer, denom = _smooth_ap_block(scored.scores[None], positives, cfg.tau)[:2]
     return float(np.mean(numer / denom))
 
 
-def _smooth_ap_block(scores, labels, tau):
-    """The smoothed-AP forward pass of (rows, n) scores and labels whose
-    rows all hold the same number (at least one) of positives.
+def _smooth_ap_block(scores, positives, tau):
+    """The smoothed-AP forward pass of (rows, n) scores whose rows all hold
+    the same number (at least one) of positives, given by their
+    ranking._positive_index (pos, own, pairs).
 
     Each row's differences are one (|P|, n) block scores[j] - scores[i]
     for its positives i, column axis innermost. Returns numer and denom,
     the (rows, |P|) smoothed ranks within the positives and overall (the
-    row's smoothed AP is mean(numer / denom) over its positives), the
+    row's smoothed AP is mean(numer / denom) over its positives), and the
     (rows, |P|, n) sigmoids g and derivatives gprime with the j = i self
-    terms zeroed, and pos_at, the (rows, |P|) positive columns.
+    terms zeroed.
     """
-    rows = np.arange(len(scores))[:, None]
-    pos_at = (np.flatnonzero(labels) % labels.shape[1]).reshape(len(scores), -1)
-    pos = np.arange(pos_at.shape[1])
-    g, gprime = _sigmoid_parts(scores[:, None, :] - scores[rows, pos_at][:, :, None], tau)
-    g[rows, pos, pos_at] = gprime[rows, pos, pos_at] = 0.0  # the j = i self term
-    numer = 1.0 + g[rows[:, :, None], pos[:, None], pos_at[:, None, :]].sum(axis=2)
+    pos, own, pairs = positives
+    g, gprime = _sigmoid_parts(scores[:, None, :] - scores.take(pos)[:, :, None], tau)
+    g.ravel()[own] = gprime.ravel()[own] = 0.0  # the j = i self term
+    numer = 1.0 + g.take(pairs).sum(axis=2)
     denom = 1.0 + g.sum(axis=2)
-    return numer, denom, g, gprime, pos_at
+    return numer, denom, g, gprime
 
 
 def smooth_ap_loss(batch, cfg, allow_degenerate=False):
@@ -169,29 +171,29 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
     DegenerateQueryError, as in every batch kernel, unless allow_degenerate
     leaves it out silently.
     """
-    m = len(batch)
     unit, norms = normalize_rows(batch.vectors)
-    num_pos = queries_with_positives(batch.class_ids, allow_degenerate)
-    ap = np.empty(np.count_nonzero(num_pos))
-    score_grad = np.zeros((m, m))
-    for at, where, scores, labels in _query_blocks(unit, batch.class_ids, num_pos, lambda p: p * (m - 1)):
-        numer, denom, g, gprime, pos_at = _smooth_ap_block(scores, labels, cfg.tau)
+    sims, queries, blocks = _query_blocks(unit, batch.class_ids, per_positive=True,
+                                         allow_degenerate=allow_degenerate)
+    ap = np.empty(queries)
+    score_grad = np.zeros(sims.shape)
+    for at, flat, _, positives in blocks:
+        numer, denom, g, gprime = _smooth_ap_block(sims.take(flat), positives, cfg.tau)
         ap[at] = np.mean(numer / denom, axis=1)
 
         # d loss / d G[r, i, j] is numer c on every column and -denom c more
         # on the positive columns, with c = 1 / (Q |P| denom^2) folding in
         # d loss / d AP = -1/Q and each query's mean over its positives.
-        rows, pos = np.arange(at.size)[:, None], np.arange(pos_at.shape[1])
-        c = 1.0 / (ap.size * pos.size * denom**2)
+        pos, _, pairs = positives
+        c = 1.0 / (ap.size * pos.shape[1] * denom**2)
         neg_w, pos_w = numer * c, -denom * c
-        gprime_pos = gprime[rows[:, :, None], pos[:, None], pos_at[:, None, :]]
+        gprime_pos = gprime.take(pairs)
         col_grad = (neg_w[:, None, :] @ gprime)[:, 0]
-        # diff[r, i, j] = s[j] - s[pos_at[i]]: column j gains, positive i
-        # loses its row sum.
-        col_grad[rows, pos_at] += (pos_w[:, None, :] @ gprime_pos)[:, 0] - (
+        # diff[r, i, j] = s[j] - s[pos[r, i]]: column j gains, positive i
+        # loses its row sum. col_grad is C-contiguous, so ravel() is a view.
+        col_grad.ravel()[pos] += (pos_w[:, None, :] @ gprime_pos)[:, 0] - (
             neg_w * gprime.sum(axis=2) + pos_w * gprime_pos.sum(axis=2)
         )
-        score_grad[where] = col_grad
+        score_grad.ravel()[flat] = col_grad
 
     loss = float(np.mean(1.0 - ap))
     embedding_grad = similarity_backward(unit, norms, score_grad)
@@ -206,12 +208,11 @@ def ap_approx_error(scored, cfg):
 def batch_ap_error(batch, cfg):
     """Mean per-query AP approximation error over a batch (self excluded),
     a block of query rows that share a positive count at a time."""
-    num_pos = queries_with_positives(batch.class_ids)
-    errors = np.empty(np.count_nonzero(num_pos))
-    m = len(batch)
-    for at, _, scores, labels in _query_blocks(batch.vectors, batch.class_ids, num_pos,
-                                               lambda p: p * (m - 1)):
-        numer, denom = _smooth_ap_block(scores, labels, cfg.tau)[:2]
+    sims, queries, blocks = _query_blocks(batch.vectors, batch.class_ids, per_positive=True)
+    errors = np.empty(queries)
+    for at, flat, labels, positives in blocks:
+        scores = sims.take(flat)
+        numer, denom = _smooth_ap_block(scores, positives, cfg.tau)[:2]
         errors[at] = np.abs(np.mean(numer / denom, axis=1) - _ranked_ap(scores, labels)[1])
     return float(np.mean(errors))
 

@@ -168,6 +168,7 @@ class TestTrain:
         "argv, error",
         [
             (["train", "--lr", "-1"], "lr must be positive"),
+            (["train", "--tau", "inf"], "tau must be finite, got inf"),
             (["ablate", "--param", "lr", "--values", "1e-3,-1"], "lr must be positive"),
             (["eval", "--d-out", "0"], "d_out must be positive"),
             # A 2-class test split of 16 rows is too small for Recall@16.

@@ -76,13 +76,26 @@ class TestTrainConfig:
             (dict(triplet_margin=-0.1), "margin"),
             (dict(per_class=1), "^per_class must be at least 2, got 1: "),
             (dict(seed=-1), "^seed must be nonnegative, got -1$"),
+            (dict(tau=np.inf), "^tau must be finite, got inf$"),
+            (dict(tau=np.nan), "^tau must be finite, got nan$"),
+            (dict(grad_threshold=np.inf), "^grad_threshold must be finite, got inf$"),
+            (dict(lr=np.nan), "^lr must be finite, got nan$"),
+            (dict(lr=np.inf), "^lr must be finite, got inf$"),
+            (dict(weight_decay=np.inf), "^weight_decay must be finite, got inf$"),
+            (dict(loss="triplet", triplet_margin=np.nan),
+             "^triplet_margin: margin must be finite, got nan$"),
+            (dict(loss="contrastive", contrastive_margin=np.inf),
+             "^contrastive_margin: margin must be finite, got inf$"),
         ],
     )
     def test_sub_config_checks_run_at_construction(self, overrides, match):
         # The sampler, SmoothApConfig and TripletConfig would each reject
         # the first three values at the first training step; a batch of one
         # instance per class has no positive, so no loss trains on it; and
-        # NumPy would reject a negative seed in the middle of a run.
+        # NumPy would reject a negative seed in the middle of a run. A
+        # non-finite temperature, threshold or margin would train nothing
+        # and log plausible values, and a non-finite lr or weight decay
+        # would diverge at step 0 without naming its field.
         with pytest.raises(ValueError, match=match):
             tiny_config(**overrides)
 

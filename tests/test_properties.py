@@ -30,6 +30,7 @@ from ranksmooth.encoder import EncoderParams, encode
 from ranksmooth.ranking import (
     EmbeddingBatch,
     ScoredSet,
+    _query_blocks,
     exact_ap,
     map_and_recall,
     mean_ap,
@@ -283,10 +284,12 @@ def test_next_batch_invariants(case, seed, counter):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_many_block_batches_equal_per_query_loops(seed):
-    """Batches of about 150 rows, large enough that the score rows and
-    most positive counts span several row blocks (of the losses too, for
-    seeds 0 and 1), with uneven classes including singletons, which only
-    the smoothed-AP loss and the operating region see."""
+    """Batches of 142-164 rows with uneven classes including singletons,
+    which only the smoothed-AP loss and the operating region see. Under
+    the per-positive block budget of the losses and batch_ap_error, 3 of
+    the 8 and 3 of the 10 positive counts of seeds 0 and 1 span several
+    row blocks (none of seed 2's 11); under the exact metrics' budget of
+    m - 1 elements per row none does (see the next test)."""
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 13, size=24)
     class_ids = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
@@ -310,3 +313,18 @@ def test_many_block_batches_equal_per_query_loops(seed):
     assert np.array_equal(triplet.score_grad, score_grad)
     assert np.array_equal(triplet.embedding_grad, embedding_grad)
     assert abs(triplet.loss - loss) <= 1e-12
+
+
+def test_exact_metrics_on_one_count_over_several_row_blocks():
+    """300 rows of 30 classes of 10: every query has 9 positives, and at
+    _BLOCK_ELEMENTS // 299 = 109 rows per block that one count spans three
+    blocks of the exact metrics. The rows are continuous: at this size the
+    BLAS does not score duplicate rows bit-equally (its edge tiles round
+    otherwise), so a tie would test the Gram product, not the blocks."""
+    rng = np.random.default_rng(0)
+    class_ids = rng.permutation(np.repeat(np.arange(30), 10))
+    batch = EmbeddingBatch.from_raw(rng.normal(size=(class_ids.size, 3)), class_ids)
+    blocks = _query_blocks(batch.vectors, batch.class_ids, per_positive=False)[2]
+    assert [len(at) for at, _, _, _ in blocks] == [109, 109, 82]
+    ks = (1, 5, 50)
+    assert map_and_recall(batch, ks) == per_query_map_and_recall(batch, ks)

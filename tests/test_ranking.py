@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import precision_at_hit_ap, nondegenerate_labelings, unit_rows, random_batch
+from helpers import (
+    full_matrix_ap_error,
+    full_matrix_smooth_ap,
+    nondegenerate_labelings,
+    per_anchor_triplet,
+    per_query_sets,
+    precision_at_hit_ap,
+    random_batch,
+    unit_rows,
+)
+from ranksmooth import ranking
 from ranksmooth.baselines import TripletConfig, contrastive_loss, triplet_loss
 from ranksmooth.ranking import (
     DegenerateLabelsError,
@@ -222,3 +232,126 @@ class TestRecallAtK:
         batch = EmbeddingBatch(np.eye(3), np.array([0, 0, 1]))
         with pytest.raises(ValueError, match="k="):
             recall_at_k(batch, [3])
+
+
+# A layout of uneven classes (sizes 4, 3, 3 and 2), and one with two
+# singleton classes, which only smooth_ap_loss(..., allow_degenerate=True)
+# takes.
+UNEVEN_IDS = np.array([0, 2, 0, 1, 2, 2, 0, 1, 3, 3, 0, 1])
+SINGLETON_IDS = np.array([0, 4, 0, 1, 2, 2, 0, 1, 3, 2, 0, 1])
+
+
+def _smooth_ap_oracle(batch, out):
+    aps = [full_matrix_smooth_ap(s, y, 0.01) for s, y in per_query_sets(batch)]
+    assert abs(out.loss - float(np.mean(1.0 - np.array(aps)))) <= 1e-12
+
+
+def _ap_error_oracle(batch, out):
+    assert out == full_matrix_ap_error(batch, 0.01)
+
+
+def _triplet_oracle(batch, out):
+    loss, score_grad, embedding_grad = per_anchor_triplet(batch, TripletConfig().margin)
+    assert np.array_equal(out.score_grad, score_grad)
+    assert np.array_equal(out.embedding_grad, embedding_grad)
+    assert abs(out.loss - loss) <= 1e-12
+
+
+# The kernels that read cached blocks: (kernel, class ids, oracle check).
+CACHED_KERNELS = {
+    "smooth_ap_loss": (lambda b: smooth_ap_loss(b, SmoothApConfig(0.01)), UNEVEN_IDS,
+                       _smooth_ap_oracle),
+    "smooth_ap_loss_singletons": (
+        lambda b: smooth_ap_loss(b, SmoothApConfig(0.01), allow_degenerate=True), SINGLETON_IDS,
+        _smooth_ap_oracle,
+    ),
+    "batch_ap_error": (lambda b: batch_ap_error(b, SmoothApConfig(0.01)), UNEVEN_IDS,
+                       _ap_error_oracle),
+    "triplet_loss": (lambda b: triplet_loss(b, TripletConfig()), UNEVEN_IDS, _triplet_oracle),
+}
+
+
+def _layout_batch(class_ids, seed=0):
+    rng = np.random.default_rng(seed)
+    return EmbeddingBatch.from_raw(rng.normal(size=(len(class_ids), 5)), class_ids)
+
+
+def _bytes(out):
+    """The bytes of a kernel's output: a float, or a LossOutput's fields."""
+    fields = (out,) if isinstance(out, float) else (out.loss, out.score_grad, out.embedding_grad)
+    return b"".join(np.asarray(x, dtype=np.float64).tobytes() for x in fields)
+
+
+class TestLayoutCache:
+    """The per-positive query blocks of a batch layout are built once and
+    reused by every batch with that layout, with the same output bits."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        ranking._cached_blocks.cache_clear()
+        yield
+        ranking._cached_blocks.cache_clear()
+
+    @pytest.mark.parametrize("kernel", CACHED_KERNELS)
+    def test_miss_and_hit_give_identical_bytes(self, kernel):
+        fn, class_ids, _ = CACHED_KERNELS[kernel]
+        batch = _layout_batch(class_ids)
+        first = _bytes(fn(batch))
+        info = ranking._cached_blocks.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
+        assert _bytes(fn(batch)) == first
+        assert ranking._cached_blocks.cache_info().hits == 1
+
+    @pytest.mark.parametrize("kernel", CACHED_KERNELS)
+    def test_other_class_ids_of_one_layout_reuse_its_entry(self, kernel):
+        fn, class_ids, oracle = CACHED_KERNELS[kernel]
+        fn(_layout_batch(class_ids))
+        relabelled = _layout_batch(np.array([17, 5, 42, 9, 3])[class_ids], seed=1)
+        out = fn(relabelled)
+        info = ranking._cached_blocks.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        oracle(relabelled, out)
+
+    @pytest.mark.parametrize("kernel", CACHED_KERNELS)
+    def test_reordered_rows_get_their_own_entry(self, kernel):
+        fn, class_ids, oracle = CACHED_KERNELS[kernel]
+        fn(_layout_batch(class_ids))
+        reordered = _layout_batch(np.roll(class_ids, 1))
+        out = fn(reordered)
+        info = ranking._cached_blocks.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+        oracle(reordered, out)
+
+    def test_cached_index_arrays_are_read_only(self):
+        smooth_ap_loss(_layout_batch(UNEVEN_IDS), SmoothApConfig())
+        layout = ranking.queries_with_positives(UNEVEN_IDS)[1]
+        blocks = ranking._cached_blocks(layout.tobytes())
+        assert ranking._cached_blocks.cache_info().hits == 1
+        for at, flat, labels, positives in blocks:
+            for array in (at, flat, labels) + positives:
+                assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            blocks[0][1][0, 0] = 0
+
+    def test_holds_at_most_maxsize_layouts(self):
+        # Shuffled slices of one dataset, as operating_region_sweep trains
+        # on: every batch a new layout, some with singleton classes.
+        rng = np.random.default_rng(0)
+        class_ids = np.repeat(np.arange(8), 6)
+        batches = 3 * ranking._LAYOUT_CACHE_SIZE
+        for _ in range(batches):
+            smooth_ap_loss(_layout_batch(rng.permutation(class_ids)[:24]), SmoothApConfig(),
+                           allow_degenerate=True)
+        info = ranking._cached_blocks.cache_info()
+        assert info.misses == batches
+        assert info.currsize == info.maxsize == ranking._LAYOUT_CACHE_SIZE
+
+    def test_exact_metrics_and_large_layouts_are_not_cached(self):
+        map_and_recall(_layout_batch(UNEVEN_IDS), [1])
+        # Two classes of 65: 130 (129 + 64 * 66) indices, past the budget.
+        class_ids = np.arange(130) % 2
+        assert 130 * (129 + 64 * 66) > ranking._LAYOUT_CACHE_ELEMENTS
+        batch_ap_error(_layout_batch(class_ids), SmoothApConfig())
+        assert ranking._cached_blocks.cache_info().currsize == 0
+        smooth_ap_loss(_layout_batch(np.arange(512) // 4), SmoothApConfig())  # fits
+        assert ranking._cached_blocks.cache_info().currsize == 1
