@@ -168,7 +168,6 @@ class TestTrain:
         "argv, error",
         [
             (["train", "--lr", "-1"], "lr must be positive"),
-            (["train", "--tau", "inf"], "tau must be finite, got inf"),
             (["ablate", "--param", "lr", "--values", "1e-3,-1"], "lr must be positive"),
             (["eval", "--d-out", "0"], "d_out must be positive"),
             # A 2-class test split of 16 rows is too small for Recall@16.
@@ -176,6 +175,7 @@ class TestTrain:
                 ["train", "--test-fraction", "0.2", "--batch", "8", "--per-class", "2", "--steps", "2"],
                 "the evaluated set has 16 rows; Recall@16 needs at least 17",
             ),
+            (["train", "--tau", "inf"], "tau must be finite, got inf"),
         ],
     )
     def test_rejected_value_leaves_failed_manifest(self, tmp_path, dataset_csv, capsys, argv, error):
