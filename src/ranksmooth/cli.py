@@ -200,12 +200,15 @@ def _metric_row(record):
 
 
 def _git_describe():
+    """git describe of the checkout that holds this package, wherever the
+    caller runs from."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True,
             text=True,
             timeout=5,
+            cwd=Path(__file__).parent,
         )
         if out.returncode == 0:
             return out.stdout.strip()

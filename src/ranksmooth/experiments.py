@@ -6,16 +6,19 @@ through explicit streams (encoder init, batch sampler), so identical
 configs produce bit-identical metric logs. Wall times are recorded
 alongside but are the one intentionally non-repeatable quantity. The
 independent runs of an ablation or a sweep spread over one forked worker
-per usable core (_map_runs) with the same results.
+per usable core (_map_runs) with the same results. A single run left on
+its own (train, or a sweep of one run) draws its batches ahead in one
+forked sampler child (_sampled), again with the same batches.
 """
 
 import math
 import os
+import pickle
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -226,12 +229,75 @@ def measure(step, loss_value, batch, test_batch, diag, started):
     )
 
 
-def _sampled(dataset, cfg):
-    """Endless class-balanced row-index batches from cfg's sampler stream."""
+def _draws(dataset, cfg, count):
+    """The first count class-balanced row-index batches of cfg's sampler
+    stream."""
     sampler, state = cfg.sampler, SamplerState(seed=cfg.seed)
-    while True:
+    for _ in range(count):
         idx, state = next_batch(dataset, sampler, state)
         yield idx
+
+
+def _chunks(draws):
+    """draws in lists of up to 32 batches; an exception that stops the
+    draws ends the last list, after the batches drawn before it."""
+    chunk = []
+    try:
+        for idx in draws:
+            chunk.append(idx)
+            if len(chunk) == 32:
+                yield chunk
+                chunk = []
+    except Exception as exc:  # it reaches the parent pickled
+        chunk.append(exc)
+    yield chunk
+
+
+def _received(reader, count):
+    """The count batches that a sampler child pickles to reader as
+    _chunks, raising the child's exception where the serial draws would
+    (and EOFError if the child died)."""
+    while count > 0:
+        chunk = pickle.load(reader)
+        for idx in chunk:
+            if isinstance(idx, Exception):
+                raise idx
+            yield idx
+        count -= len(chunk)
+
+
+@contextmanager
+def _sampled(dataset, cfg, count):
+    """Yields the first count batches of cfg's sampler stream, drawn ahead
+    in a forked child while the caller trains on them: the draws never
+    depend on the model, so they are the serial draws' bytes.
+
+    Leaving the block closes the pipe (a child still drawing then fails
+    its next write and exits) and reaps the child. Draws in the caller
+    with one usable core, off Linux, and in a _map_runs worker, whose
+    runs already fill the cores.
+    """
+    draws = _draws(dataset, cfg, count)
+    if _usable_cores() < 2 or sys.platform != "linux" or _worker_job is not None:
+        yield draws
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into its caller's frames or flushes their stdio
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                for chunk in _chunks(draws):
+                    pickle.dump(chunk, out)
+                    out.flush()
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as reader:
+            yield _received(reader, count)
+    finally:
+        os.waitpid(pid, 0)
 
 
 def _train_steps(dataset, batches, cfg, loss_fn=None):
@@ -280,13 +346,13 @@ def train(cfg):
     train_ds, test_ds = split_by_class(dataset, cfg.test_fraction, cfg.seed)
     started = time.perf_counter()
     records = []
-    steps = _train_steps(train_ds, _sampled(train_ds, cfg), cfg)
-    for step, (batch, out, params) in enumerate(steps):
-        if step % cfg.eval_every == 0 or step == cfg.steps:
-            test_batch = encode(test_ds.features, test_ds.class_ids, params)
-            records.append(measure(step, out.loss, batch, test_batch, cfg.smooth_ap, started))
-        if step == cfg.steps:
-            break
+    with _sampled(train_ds, cfg, cfg.steps + 1) as batches:
+        for step, (batch, out, params) in enumerate(_train_steps(train_ds, batches, cfg)):
+            if step % cfg.eval_every == 0 or step == cfg.steps:
+                test_batch = encode(test_ds.features, test_ds.class_ids, params)
+                records.append(measure(step, out.loss, batch, test_batch, cfg.smooth_ap, started))
+            if step == cfg.steps:
+                break
     return TrainResult(config=cfg, records=tuple(records), params=params)
 
 
@@ -448,9 +514,9 @@ def approx_error_sweep(dataset, taus=(0.1, 0.01, 0.001), steps=20, *,
     configs = [replace(base, tau=tau) for tau in taus]
 
     def errors(cfg):
-        batches = islice(_sampled(dataset, cfg), steps)
         diag = cfg.smooth_ap
-        return [batch_ap_error(batch, diag) for batch, _, _ in _train_steps(dataset, batches, cfg)]
+        with _sampled(dataset, cfg, steps) as batches:
+            return [batch_ap_error(batch, diag) for batch, _, _ in _train_steps(dataset, batches, cfg)]
 
     return {cfg.tau: errs for cfg, errs in zip(configs, _map_runs(errors, configs))}
 

@@ -216,6 +216,12 @@ class TestTrain:
         assert env["MKL_NUM_THREADS"] is None
         assert "OPENBLAS_NUM_THREADS" in env
 
+    def test_git_describe_names_the_code_not_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(Path(__file__).parent)
+        in_checkout = cli._git_describe()
+        monkeypatch.chdir(tmp_path)
+        assert cli._git_describe() == in_checkout
+
     def test_missing_dataset_usage_error(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "o")])
         assert code == 2

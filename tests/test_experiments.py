@@ -341,13 +341,14 @@ def _cores(monkeypatch, cores):
     monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
 
 
+def _run_outputs(result):
+    """Everything a training run returns but the wall times."""
+    return [dataclasses.replace(r, wall_ms=0.0) for r in result.records], result.params.weight.tobytes()
+
+
 def _ablation_outputs(rows):
     """Everything an ablation returns but the wall times."""
-    return [
-        (value, [dataclasses.replace(r, wall_ms=0.0) for r in result.records],
-         result.params.weight.tobytes())
-        for value, _, result in rows
-    ]
+    return [(value, *_run_outputs(result)) for value, _, result in rows]
 
 
 class TestMapRuns:
@@ -361,8 +362,14 @@ class TestMapRuns:
                                            repeats=3, seed=5),
             lambda: _ablation_outputs(ablate(tiny_config(steps=2, eval_every=2), "tau",
                                              [0.05, 0.5, 0.01])),
+            # 71 batches: two full chunks of the sampler child and a partial one.
+            lambda: _run_outputs(train(tiny_config(steps=70, eval_every=10))),
+            # One run stays in the caller, which draws its batches in a child.
+            lambda: approx_error_sweep(gen_synthetic_clusters(8, 6, 12, 0.15, seed=2, signal_dim=6),
+                                       [0.01], steps=40, batch_size=8, per_class=2, d_out=6),
         ],
-        ids=["approx_error_sweep", "operating_region_sweep", "ablate"],
+        ids=["approx_error_sweep", "operating_region_sweep", "ablate", "train",
+             "approx_error_sweep_one_tau"],
     )
     def test_two_workers_match_one(self, monkeypatch, call):
         outputs = []
@@ -403,6 +410,67 @@ class TestMapRuns:
             experiments._map_runs(run, [0, 1, 2, 3])
         assert caught.value.class_id == 1
         assert multiprocessing.active_children() == []
+
+
+class TestSampledChild:
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({}, None),
+            # The first update overflows while the child is still drawing.
+            ({"lr": 1e300, "steps": 1000}, FloatingPointError),
+            # 8 classes per batch, 7 in the training split: the child raises.
+            ({"batch_size": 16}, SamplerError),
+        ],
+        ids=["returns", "diverges", "sampler_error"],
+    )
+    def test_child_reaped_on_every_exit(self, monkeypatch, overrides, error):
+        _cores(monkeypatch, 2)
+        if error is None:
+            train(tiny_config(**overrides))
+        else:
+            # caught keeps the exception alive, and through its traceback the
+            # run's generators: the reaping may not wait for their finalization.
+            with pytest.raises(error) as caught:  # noqa: F841
+                train(tiny_config(**overrides))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_sampler_error_matches_serial(self, monkeypatch):
+        errors = []
+        for cores in (1, 2):
+            _cores(monkeypatch, cores)
+            with pytest.raises(SamplerError) as caught:
+                train(tiny_config(batch_size=16))
+            errors.append((type(caught.value), str(caught.value), caught.value.args))
+        assert errors[0] == errors[1]
+
+    def _spy_on_draws(self, monkeypatch):
+        pids = []
+        real = experiments.next_batch
+        monkeypatch.setattr(experiments, "next_batch",
+                            lambda *args: pids.append(os.getpid()) or real(*args))
+        return pids
+
+    def test_draws_in_a_child(self, monkeypatch):
+        pids = self._spy_on_draws(monkeypatch)
+        _cores(monkeypatch, 2)
+        train(tiny_config())
+        assert pids == []  # the child's calls stay in the child
+        _cores(monkeypatch, 1)
+        train(tiny_config())
+        assert pids == [os.getpid()] * 7
+
+    def test_pool_workers_draw_in_process(self, monkeypatch):
+        pids = self._spy_on_draws(monkeypatch)
+
+        def run(seed):
+            pids.clear()
+            train(tiny_config(seed=seed))
+            return len(pids)
+
+        _cores(monkeypatch, 2)
+        assert experiments._map_runs(run, [0, 1]) == [7, 7]
 
 
 @pytest.mark.parametrize(
