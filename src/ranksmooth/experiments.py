@@ -4,11 +4,12 @@ Every fact needed to reproduce a run lives in TrainConfig, which train
 and both sweeps pass to _train_steps; all randomness flows from its seed
 through explicit streams (encoder init, batch sampler), so identical
 configs produce bit-identical metric logs. Wall times are recorded
-alongside but are the one intentionally non-repeatable quantity. The
-independent runs of an ablation or a sweep spread over one forked worker
-per usable core (_map_runs) with the same results. A single run left on
+alongside but are the one intentionally non-repeatable quantity. Both
+uses of the second core fork through one primitive (_forked), with the
+serial results: the independent runs of an ablation or a sweep spread
+over one worker per usable core (_map_runs), and a single run left on
 its own (train, or a sweep of one run) draws its batches ahead in one
-forked sampler child (_sampled), again with the same batches.
+sampler child (_sampled).
 """
 
 import math
@@ -16,7 +17,7 @@ import os
 import pickle
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -238,66 +239,68 @@ def _draws(dataset, cfg, count):
         yield idx
 
 
-def _chunks(draws):
-    """draws in lists of up to 32 batches; an exception that stops the
-    draws ends the last list, after the batches drawn before it."""
-    chunk = []
-    try:
-        for idx in draws:
-            chunk.append(idx)
-            if len(chunk) == 32:
-                yield chunk
-                chunk = []
-    except Exception as exc:  # it reaches the parent pickled
-        chunk.append(exc)
-    yield chunk
-
-
-def _received(reader, count):
-    """The count batches that a sampler child pickles to reader as
-    _chunks, raising the child's exception where the serial draws would
-    (and EOFError if the child died)."""
-    while count > 0:
-        chunk = pickle.load(reader)
-        for idx in chunk:
-            if isinstance(idx, Exception):
-                raise idx
-            yield idx
-        count -= len(chunk)
+# Set in every forked child: its caller's runs already fill the cores, so
+# there _sampled draws in process and _map_runs runs serially.
+_in_child = False
 
 
 @contextmanager
-def _sampled(dataset, cfg, count):
-    """Yields the first count batches of cfg's sampler stream, drawn ahead
-    in a forked child while the caller trains on them: the draws never
-    depend on the model, so they are the serial draws' bytes.
-
-    Leaving the block closes the pipe (a child still drawing then fails
-    its next write and exits) and reaps the child. Draws in the caller
-    with one usable core, off Linux, and in a _map_runs worker, whose
-    runs already fill the cores.
-    """
-    draws = _draws(dataset, cfg, count)
-    if _usable_cores() < 2 or sys.platform != "linux" or _worker_job is not None:
-        yield draws
-        return
+def _forked(produce, name):
+    """Yields an iterator over what produce() yields in one forked child,
+    pickled into a pipe in buffer-sized writes (a write per item slows
+    the caller). An exception that stops produce() raises after the items
+    before it; a child that dies before its end marker raises
+    ChildProcessError naming it (name). The child leaves by os._exit,
+    never returning into its caller's frames or flushing their stdio.
+    Leaving the block closes the pipe (a child still producing then fails
+    its next write) and reaps the child."""
+    global _in_child
     read_fd, write_fd = os.pipe()
     pid = os.fork()
-    if pid == 0:  # the child never returns into its caller's frames or flushes their stdio
+    if pid == 0:
+        _in_child = True
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as out:
-                for chunk in _chunks(draws):
-                    pickle.dump(chunk, out)
-                    out.flush()
+                try:
+                    for item in produce():
+                        pickle.dump((True, item), out)
+                    pickle.dump((False, None), out)
+                except Exception as exc:  # it reaches the caller pickled
+                    pickle.dump((False, exc), out)
         finally:
             os._exit(0)
     os.close(write_fd)
+
+    def items(reader):
+        while True:
+            try:
+                more, item = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"the {name} (pid {pid}) died before it was done") from None
+            if not more:
+                if item is not None:
+                    raise item
+                return
+            yield item
+
     try:
         with open(read_fd, "rb") as reader:
-            yield _received(reader, count)
+            yield items(reader)
     finally:
         os.waitpid(pid, 0)
+
+
+def _sampled(dataset, cfg, count):
+    """A context manager yielding the first count batches of cfg's sampler
+    stream, drawn ahead in a forked child while the caller trains on them:
+    the draws never depend on the model, so they are the serial draws'
+    bytes. Draws in process with one usable core, off Linux, and in a
+    forked child."""
+    draws = partial(_draws, dataset, cfg, count)
+    if _usable_cores() < 2 or sys.platform != "linux" or _in_child:
+        return nullcontext(draws())
+    return _forked(draws, "sampler child")
 
 
 def _train_steps(dataset, batches, cfg, loss_fn=None):
@@ -362,50 +365,55 @@ def _usable_cores():
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-# A forked worker's run and task list, set by _adopt in the worker only.
-_worker_job = None
-
-
-def _adopt(run, tasks):
-    global _worker_job
-    _worker_job = run, tasks
-
-
-def _run_task(i):
-    run, tasks = _worker_job
-    return run(tasks[i])
-
-
 def _map_runs(run, tasks):
     """[run(task) for task in tasks], spread over one forked worker per
-    usable core.
+    usable core; serial with one usable core or one task, off Linux, and
+    in a forked child.
 
     Each run is a pure function of its task (its config and seed stream),
     and linalg.product keeps every product on the worker's one thread, so
-    the results are bit-identical to the serial loop's. The workers
-    inherit run and tasks through fork, so a closure serves; results and
-    exceptions come back pickled. Once every worker is joined, the first
-    failing task in task order raises, as in the serial loop. Runs
-    serially with one usable core or one task, and off Linux.
-
-    Every worker forks before the pool starts its manager thread, and
-    OpenBLAS stops its idle threads around fork(), so the process that
-    forks runs one thread.
-    """
+    the results are the serial loop's bits. The workers inherit run and
+    tasks (a closure serves), each take the next 4-byte task index from
+    one shared pipe when free, and send back (index, (succeeded, result or
+    exception)) once the tasks run out, so that none stops on a full pipe
+    while the caller drains another. Once every worker is reaped, the
+    first failing task in task order raises; one whose result died with
+    its worker raises ChildProcessError."""
     workers = min(len(tasks), _usable_cores())
-    if workers < 2 or sys.platform != "linux":
+    if workers < 2 or sys.platform != "linux" or _in_child:
         return [run(task) for task in tasks]
-    # Imported here, so that the single-run commands never pay for it.
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+    read_fd, write_fd = os.pipe()
 
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_adopt,
-                               initargs=(run, tasks))
-    try:
-        futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    def work():
+        os.close(write_fd)
+        done = []
+        while index := os.read(read_fd, 4):
+            i = int.from_bytes(index, "little")
+            try:
+                done.append((i, (True, run(tasks[i]))))
+            except Exception as exc:  # it reaches the caller pickled
+                done.append((i, (False, exc)))
+        return done
+
+    outcomes = {}
+    with ExitStack() as stack:
+        # The indices go in after the forks (more than 16384 fill the pipe)
+        # and the caller's read end (a write to dead workers then fails),
+        # and the pipe closes before the first worker is reaped.
+        with open(write_fd, "wb", buffering=0) as out:
+            with open(read_fd, "rb", buffering=0):
+                streams = [stack.enter_context(_forked(work, "map worker")) for _ in range(workers)]
+            with suppress(BrokenPipeError):  # every worker died: no task gets an outcome
+                out.write(np.arange(len(tasks), dtype="<u4").tobytes())
+        for stream in streams:
+            with suppress(ChildProcessError):  # a dead worker's tasks get no outcome
+                outcomes.update(stream)
+    for i in range(len(tasks)):
+        if i not in outcomes:
+            raise ChildProcessError(f"task {i} of {len(tasks)} got no result: its worker died")
+        if not outcomes[i][0]:
+            raise outcomes[i][1]
+    return [outcomes[i][1] for i in range(len(tasks))]
 
 
 _ABLATION_FIELDS = {f.name for f in fields(TrainConfig)}

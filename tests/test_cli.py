@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ranksmooth import cli
+from ranksmooth import cli, experiments
 from ranksmooth.cli import main
 from ranksmooth.data import load_features_csv
 from ranksmooth.encoder import encode, init_encoder, load_encoder, save_encoder
@@ -193,6 +194,25 @@ class TestTrain:
         assert manifest["status"] == "failed"
         assert manifest["error"].startswith("step 0: training diverged")
         assert manifest["error"] in capsys.readouterr().err
+
+    def test_killed_sampler_child_leaves_failed_manifest(self, tmp_path, dataset_csv, capsys,
+                                                         monkeypatch):
+        parent, real = os.getpid(), experiments.next_batch
+
+        def next_batch(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "next_batch", next_batch)
+        monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
+        code, out = run_train(tmp_path, dataset_csv)
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("the sampler child (pid ")
+        assert manifest["error"] in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
     def test_successful_run_manifest_records_ok(self, tmp_path, dataset_csv):
         code, out = run_train(tmp_path, dataset_csv)

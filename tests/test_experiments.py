@@ -2,6 +2,9 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -351,6 +354,18 @@ def _ablation_outputs(rows):
     return [(value, *_run_outputs(result)) for value, _, result in rows]
 
 
+def _no_child_left():
+    """No forked process outlived the call: none is left to reap."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _killed_in_a_child(parent):
+    """SIGKILL the calling process, unless it is parent (the test runner)."""
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
 class TestMapRuns:
     @pytest.mark.parametrize(
         "call",
@@ -377,12 +392,14 @@ class TestMapRuns:
             _cores(monkeypatch, cores)
             outputs.append(call())
         assert outputs[0] == outputs[1]
+        _no_child_left()
 
     def test_runs_in_workers(self, monkeypatch):
         _cores(monkeypatch, 2)
         pids = experiments._map_runs(lambda task: os.getpid(), [0, 1, 2])
         assert os.getpid() not in pids
         assert multiprocessing.active_children() == []
+        _no_child_left()
 
     def test_serial_on_one_core(self, monkeypatch):
         _cores(monkeypatch, 1)
@@ -396,6 +413,7 @@ class TestMapRuns:
             ablate(tiny_config(data=CsvSpec(path=str(path))), "tau", [0.1, 0.2])
         assert caught.value.line == 2
         assert multiprocessing.active_children() == []
+        _no_child_left()
 
     def test_first_failure_in_task_order(self, monkeypatch):
         def run(task):
@@ -410,6 +428,49 @@ class TestMapRuns:
             experiments._map_runs(run, [0, 1, 2, 3])
         assert caught.value.class_id == 1
         assert multiprocessing.active_children() == []
+        _no_child_left()
+
+    def test_killed_worker_names_its_task(self, monkeypatch):
+        parent = os.getpid()
+
+        def run(task):
+            if task == 0:
+                time.sleep(0.3)  # the other worker takes task 1
+            if task == 1:
+                _killed_in_a_child(parent)
+            return task
+
+        _cores(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="^task 1 of 4 got no result: its worker died$"):
+            experiments._map_runs(run, [0, 1, 2, 3])
+        assert multiprocessing.active_children() == []
+        _no_child_left()
+
+    def test_more_task_indices_than_a_pipe_holds(self, monkeypatch):
+        # 20000 four-byte indices are 80 KB, against a 64 KiB pipe buffer.
+        _cores(monkeypatch, 2)
+        assert experiments._map_runs(lambda task: task, list(range(20000))) == list(range(20000))
+        assert multiprocessing.active_children() == []
+        _no_child_left()
+
+    def test_no_process_pool_imported(self):
+        code = (
+            "import os, sys\n"
+            "from ranksmooth import experiments\n"
+            "experiments._usable_cores = lambda: 2\n"
+            "cfg = experiments.TrainConfig(batch_size=8, per_class=2, steps=2, eval_every=2,\n"
+            "                              data=experiments.SyntheticSpec(num_classes=10, per_class=8,\n"
+            "                                                             dim=12, signal_dim=6),\n"
+            "                              test_fraction=0.3, d_out=6)\n"
+            "experiments.ablate(cfg, 'tau', [0.1, 0.01])\n"
+            "assert os.getpid() not in experiments._map_runs(lambda task: os.getpid(), [0, 1])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+            "             ('multiprocessing', 'concurrent')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              check=True, capture_output=True, text=True, timeout=120)
+        assert proc.stdout == "[]\n"
 
 
 class TestSampledChild:
@@ -444,6 +505,7 @@ class TestSampledChild:
                 train(tiny_config(batch_size=16))
             errors.append((type(caught.value), str(caught.value), caught.value.args))
         assert errors[0] == errors[1]
+        _no_child_left()
 
     def _spy_on_draws(self, monkeypatch):
         pids = []
@@ -460,6 +522,7 @@ class TestSampledChild:
         _cores(monkeypatch, 1)
         train(tiny_config())
         assert pids == [os.getpid()] * 7
+        _no_child_left()
 
     def test_pool_workers_draw_in_process(self, monkeypatch):
         pids = self._spy_on_draws(monkeypatch)
@@ -471,6 +534,24 @@ class TestSampledChild:
 
         _cores(monkeypatch, 2)
         assert experiments._map_runs(run, [0, 1]) == [7, 7]
+        _no_child_left()
+
+    def test_killed_child_is_named(self, monkeypatch):
+        parent, real, calls = os.getpid(), experiments.next_batch, []
+
+        def next_batch(*args):
+            calls.append(None)
+            if len(calls) == 100:
+                _killed_in_a_child(parent)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "next_batch", next_batch)
+        _cores(monkeypatch, 2)
+        # 99 batches arrive, and then the stream ends: no shorter run returns.
+        with pytest.raises(ChildProcessError, match="^the sampler child .* died") as caught:  # noqa: F841
+            train(tiny_config(steps=200, eval_every=50))
+        assert calls == []  # the parent drew nothing
+        _no_child_left()
 
 
 @pytest.mark.parametrize(
