@@ -9,7 +9,7 @@ uses of the second core fork through one primitive (_forked), with the
 serial results: the independent runs of an ablation or a sweep spread
 over one worker per usable core (_map_runs), and a single run left on
 its own (train, or a sweep of one run) draws its batches ahead in one
-sampler child (_sampled).
+sampler child. _fork_cores decides whether either forks.
 """
 
 import math
@@ -17,7 +17,8 @@ import os
 import pickle
 import sys
 import time
-from contextlib import ExitStack, contextmanager, nullcontext, suppress
+import traceback
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -51,7 +52,6 @@ from .smoothap import (
 )
 
 __all__ = [
-    "SyntheticSpec",
     "CsvSpec",
     "TrainConfig",
     "ExperimentRecord",
@@ -232,29 +232,51 @@ def measure(step, loss_value, batch, test_batch, diag, started):
 
 def _draws(dataset, cfg, count):
     """The first count class-balanced row-index batches of cfg's sampler
-    stream."""
+    stream. They never depend on the model, so a child that draws them
+    ahead of the run sends the serial draws' bytes."""
     sampler, state = cfg.sampler, SamplerState(seed=cfg.seed)
     for _ in range(count):
         idx, state = next_batch(dataset, sampler, state)
         yield idx
 
 
-# Set in every forked child: its caller's runs already fill the cores, so
-# there _sampled draws in process and _map_runs runs serially.
+# Set in every forked child: its caller's runs already fill the cores.
 _in_child = False
+
+
+def _fork_cores():
+    """The cores a fork may use: the usable ones, but one off Linux and in
+    a forked child."""
+    return 1 if sys.platform != "linux" or _in_child else _usable_cores()
+
+
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a forked child."""
+
+
+def _caused(exc, text):
+    """exc, as a forked child sent it, with the child's formatted
+    traceback (text) as its __cause__."""
+    exc.__cause__ = _ChildTraceback(f'\n"""\n{text}"""')
+    return exc
 
 
 @contextmanager
 def _forked(produce, name):
     """Yields an iterator over what produce() yields in one forked child,
     pickled into a pipe in buffer-sized writes (a write per item slows
-    the caller). An exception that stops produce() raises after the items
-    before it; a child that dies before its end marker raises
-    ChildProcessError naming it (name). The child leaves by os._exit,
-    never returning into its caller's frames or flushing their stdio.
-    Leaving the block closes the pipe (a child still producing then fails
-    its next write) and reaps the child."""
+    the caller); yields produce() itself, run in process, when
+    _fork_cores() is below 2. An exception that stops produce() raises
+    after the items before it, with the child's traceback as its cause; a
+    child that dies before its end marker raises ChildProcessError naming
+    it (name). The child leaves by os._exit, never returning into its
+    caller's frames or flushing their stdio. Leaving the block closes the
+    pipe (a child still producing then fails its next write) and reaps
+    the child."""
     global _in_child
+    if _fork_cores() < 2:
+        yield produce()
+        return
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -267,7 +289,7 @@ def _forked(produce, name):
                         pickle.dump((True, item), out)
                     pickle.dump((False, None), out)
                 except Exception as exc:  # it reaches the caller pickled
-                    pickle.dump((False, exc), out)
+                    pickle.dump((False, (exc, traceback.format_exc())), out)
         finally:
             os._exit(0)
     os.close(write_fd)
@@ -280,7 +302,7 @@ def _forked(produce, name):
                 raise ChildProcessError(f"the {name} (pid {pid}) died before it was done") from None
             if not more:
                 if item is not None:
-                    raise item
+                    raise _caused(*item)
                 return
             yield item
 
@@ -289,18 +311,6 @@ def _forked(produce, name):
             yield items(reader)
     finally:
         os.waitpid(pid, 0)
-
-
-def _sampled(dataset, cfg, count):
-    """A context manager yielding the first count batches of cfg's sampler
-    stream, drawn ahead in a forked child while the caller trains on them:
-    the draws never depend on the model, so they are the serial draws'
-    bytes. Draws in process with one usable core, off Linux, and in a
-    forked child."""
-    draws = partial(_draws, dataset, cfg, count)
-    if _usable_cores() < 2 or sys.platform != "linux" or _in_child:
-        return nullcontext(draws())
-    return _forked(draws, "sampler child")
 
 
 def _train_steps(dataset, batches, cfg, loss_fn=None):
@@ -349,7 +359,7 @@ def train(cfg):
     train_ds, test_ds = split_by_class(dataset, cfg.test_fraction, cfg.seed)
     started = time.perf_counter()
     records = []
-    with _sampled(train_ds, cfg, cfg.steps + 1) as batches:
+    with _forked(partial(_draws, train_ds, cfg, cfg.steps + 1), "sampler child") as batches:
         for step, (batch, out, params) in enumerate(_train_steps(train_ds, batches, cfg)):
             if step % cfg.eval_every == 0 or step == cfg.steps:
                 test_batch = encode(test_ds.features, test_ds.class_ids, params)
@@ -366,21 +376,21 @@ def _usable_cores():
 
 
 def _map_runs(run, tasks):
-    """[run(task) for task in tasks], spread over one forked worker per
-    usable core; serial with one usable core or one task, off Linux, and
-    in a forked child.
+    """[run(task) for task in tasks], spread over min(len(tasks),
+    _fork_cores()) forked workers; serial where that is one.
 
     Each run is a pure function of its task (its config and seed stream),
     and linalg.product keeps every product on the worker's one thread, so
     the results are the serial loop's bits. The workers inherit run and
     tasks (a closure serves), each take the next 4-byte task index from
     one shared pipe when free, and send back (index, (succeeded, result or
-    exception)) once the tasks run out, so that none stops on a full pipe
-    while the caller drains another. Once every worker is reaped, the
-    first failing task in task order raises; one whose result died with
-    its worker raises ChildProcessError."""
-    workers = min(len(tasks), _usable_cores())
-    if workers < 2 or sys.platform != "linux" or _in_child:
+    (exception, traceback))) once the tasks run out, so that none stops on
+    a full pipe while the caller drains another. Once every worker is
+    reaped, the first failing task in task order raises, caused by its
+    worker's traceback; one whose result died with its worker raises
+    ChildProcessError."""
+    workers = min(len(tasks), _fork_cores())
+    if workers < 2:
         return [run(task) for task in tasks]
     read_fd, write_fd = os.pipe()
 
@@ -392,7 +402,7 @@ def _map_runs(run, tasks):
             try:
                 done.append((i, (True, run(tasks[i]))))
             except Exception as exc:  # it reaches the caller pickled
-                done.append((i, (False, exc)))
+                done.append((i, (False, (exc, traceback.format_exc()))))
         return done
 
     outcomes = {}
@@ -412,7 +422,7 @@ def _map_runs(run, tasks):
         if i not in outcomes:
             raise ChildProcessError(f"task {i} of {len(tasks)} got no result: its worker died")
         if not outcomes[i][0]:
-            raise outcomes[i][1]
+            raise _caused(*outcomes[i][1])
     return [outcomes[i][1] for i in range(len(tasks))]
 
 
@@ -523,7 +533,7 @@ def approx_error_sweep(dataset, taus=(0.1, 0.01, 0.001), steps=20, *,
 
     def errors(cfg):
         diag = cfg.smooth_ap
-        with _sampled(dataset, cfg, steps) as batches:
+        with _forked(partial(_draws, dataset, cfg, steps), "sampler child") as batches:
             return [batch_ap_error(batch, diag) for batch, _, _ in _train_steps(dataset, batches, cfg)]
 
     return {cfg.tau: errs for cfg, errs in zip(configs, _map_runs(errors, configs))}

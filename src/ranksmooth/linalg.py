@@ -7,6 +7,8 @@ passes need the matching Jacobians, so they live here in one place.
 
 import numpy as np
 
+__all__ = ["NormalizationError"]
+
 
 class NormalizationError(ValueError):
     """A row could not be L2-normalized (near-zero or non-finite norm)."""

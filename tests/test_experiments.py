@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -412,6 +413,8 @@ class TestMapRuns:
         with pytest.raises(RaggedRowError, match="^line 2: ") as caught:
             ablate(tiny_config(data=CsvSpec(path=str(path))), "tau", [0.1, 0.2])
         assert caught.value.line == 2
+        # The worker's frames come along as the error's cause.
+        assert "load_features_csv" in "".join(traceback.format_exception(caught.value))
         assert multiprocessing.active_children() == []
         _no_child_left()
 
@@ -504,6 +507,8 @@ class TestSampledChild:
             with pytest.raises(SamplerError) as caught:
                 train(tiny_config(batch_size=16))
             errors.append((type(caught.value), str(caught.value), caught.value.args))
+            # On 2 cores the child's frames come along as the error's cause.
+            assert "next_batch" in "".join(traceback.format_exception(caught.value))
         assert errors[0] == errors[1]
         _no_child_left()
 
