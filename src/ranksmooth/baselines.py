@@ -56,7 +56,7 @@ def triplet_loss(batch, cfg):
     ranking._query_blocks, as the smoothed-AP loss does.
     """
     unit, norms = normalize_rows(batch.vectors)
-    sims, _, blocks = _query_blocks(unit, batch.class_ids, per_positive=True)
+    sims, _, blocks = _query_blocks(unit, batch.class_ids)
     _check_negatives(batch.class_ids)
     score_grad = np.zeros(sims.shape)
     total, count = 0.0, 0

@@ -11,6 +11,8 @@ are immutable after construction, and the sampler advances an explicit
 samplers with independent states never interfere.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,37 +190,34 @@ def save_features_csv(path, dataset):
     reproduces the values exactly.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(len(dataset)):
-            feats = ",".join(repr(float(v)) for v in dataset.features[i])
-            fh.write(f"{i},{int(dataset.class_ids[i])},{feats}\n")
+        for i, (class_id, row) in enumerate(zip(dataset.class_ids.tolist(), dataset.features)):
+            fh.write(f"{i},{class_id},{','.join(map(repr, row.tolist()))}\n")
 
 
 def load_features_csv(path):
     """Parse a feature CSV into a Dataset.
 
     Ragged rows, unparsable or non-finite fields, and duplicate ids each
-    raise a distinct error carrying the 1-based line number. Classes with a
-    single instance, whose queries would have no positive, are dropped
-    after parsing.
+    raise a distinct error carrying the 1-based line number. Each line's
+    features go straight into one float64 array, so parsing holds little
+    beyond that array. Classes with a single instance, whose queries would
+    have no positive, are dropped after parsing.
     """
-    rows = []
-    ids = {}
     class_ids = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
+
+    def rows(fh):
+        ids, width = {}, 0
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             parts = line.split(",")
-            if width is None:
+            if not width:
                 width = len(parts)
                 if width < 3:
                     raise RaggedRowError("expected id,class_id and at least one feature", lineno)
             elif len(parts) != width:
-                raise RaggedRowError(
-                    f"expected {width} fields, found {len(parts)}", lineno
-                )
+                raise RaggedRowError(f"expected {width} fields, found {len(parts)}", lineno)
             inst_id = parts[0].strip()
             if inst_id in ids:
                 raise DuplicateIdError(
@@ -230,20 +229,26 @@ def load_features_csv(path):
             except ValueError:
                 raise FieldFormatError(f"class_id {parts[1]!r} is not an integer", lineno) from None
             try:
-                rows.append([float(v) for v in parts[2:]])
+                values = list(map(float, parts[2:]))
             except ValueError:
                 raise FieldFormatError("feature fields must be numeric", lineno) from None
-            if not np.isfinite(rows[-1]).all():
+            if not all(map(math.isfinite, values)):
                 raise FieldFormatError("feature fields must be finite", lineno)
-    if not rows:
+            yield values
+
+    with open(path, "r", encoding="utf-8") as fh:
+        flat = np.fromiter(itertools.chain.from_iterable(rows(fh)), dtype=np.float64)
+    if not class_ids:
         raise CsvFormatError("file contains no data rows", 1)
-    features = np.asarray(rows, dtype=np.float64)
     labels = np.asarray(class_ids, dtype=np.int64)
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     keep = counts[inverse] >= 2
     if not keep.any():
         raise ValueError("no class has at least 2 instances")
-    return Dataset(features=features[keep], class_ids=labels[keep])
+    features = flat.reshape(labels.size, -1)
+    if not keep.all():
+        features, labels = features[keep], labels[keep]
+    return Dataset(features=features, class_ids=labels)
 
 
 def _subset(dataset, mask):

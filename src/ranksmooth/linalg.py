@@ -20,20 +20,30 @@ _NORM_FLOOR = 1e-12
 _SERIAL_MULTIPLY_ADDS = 65536 * 4
 
 
-def product(a, b):
-    """a @ b for 2-D a and b, in row chunks of a whose products stay at or
-    below OpenBLAS's serial cutoff; a product within it is one call.
+def row_products(a, b, out=None):
+    """Yields (rows, a[rows] @ b) for the row slices of a, in order, whose
+    products stay at or below OpenBLAS's serial cutoff, each written into
+    out[rows] when out is given.
 
     No product wakes the BLAS worker threads, which spin after each threaded
     call, and the chunk bounds (and so the result bits) do not depend on
-    the thread count.
+    the thread count. The product of a row range off this grid, or of a
+    single row, can differ from these chunks in the last bits.
     """
     step = max(1, _SERIAL_MULTIPLY_ADDS // max(1, b.size))
-    if step >= len(a):
+    for start in range(0, len(a), step):
+        rows = slice(start, start + step)
+        yield rows, np.matmul(a[rows], b, out=None if out is None else out[rows])
+
+
+def product(a, b):
+    """a @ b for 2-D a and b, assembled from row_products' chunks; a product
+    within OpenBLAS's serial cutoff is one call."""
+    if len(a) * b.size <= _SERIAL_MULTIPLY_ADDS:
         return a @ b
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for start in range(0, len(a), step):
-        np.matmul(a[start : start + step], b, out=out[start : start + step])
+    for _ in row_products(a, b, out):
+        pass
     return out
 
 

@@ -9,11 +9,12 @@ batch-level evaluation removes the query from its own retrieval set. Every
 ranking is read from one stable descending sort (_descending_order), so a
 query costs O(m log m) and mean AP over N queries O(N^2 log N). Batch
 metrics rank a block of query rows per sort call, with the same numbers as
-one query at a time. Every batch kernel that ranks queries (the exact
-metrics, the smoothed-AP and triplet losses and the AP-error diagnostic)
-reads its blocks from _query_blocks as read-only index arrays that depend
-only on the batch's layout; a training run's batches share one layout, so
-the per-step kernels build theirs once.
+one query at a time. The losses and the AP-error diagnostic read their
+blocks from _query_blocks, with the whole Gram matrix, as read-only index
+arrays that depend only on the batch's layout; a training run's batches
+share one layout, so these per-step kernels build theirs once. The exact
+metrics read the Gram in linalg's row chunks instead (_gram_runs), so that
+an evaluated set of N rows holds O(N * chunk) scores rather than N^2.
 """
 
 import functools
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import normalize_rows, product
+from .linalg import normalize_rows, product, row_products
 
 __all__ = [
     "ScoredSet",
@@ -223,24 +224,47 @@ def map_and_recall(batch, ks):
 
 
 def _exact_metrics(batch, ks):
-    """Mean AP and {k: Recall@k} over the batch's queries, ranked a block of
-    query rows at a time; APs are averaged in query order."""
+    """Mean AP and {k: Recall@k} over the batch's queries, ranked as
+    _gram_runs delivers their rows: a run's rows, grouped by positive count,
+    each with its own score at -inf so that it ranks below every other row,
+    which leaves every other rank as it is. APs are averaged in query
+    order."""
     m = len(batch)
     ks = [int(k) for k in ks]
     for k in ks:
         if k < 1 or k >= m:
             raise ValueError(f"k={k} must satisfy 1 <= k < batch size {m}")
-    sims, queries, blocks = _query_blocks(batch.vectors, batch.class_ids, per_positive=False)
-    ap = np.empty(queries)
+    num_pos, layout = queries_with_positives(batch.class_ids)
+    ap = np.empty(m)
     hits = dict.fromkeys(ks, 0)
-    for at, flat, labels, _ in blocks:
-        first_hit, ap[at] = _ranked_ap(sims.take(flat), labels)
-        for k in ks:
-            hits[k] += int(np.count_nonzero(first_hit < k))
-    return float(np.mean(ap)), {k: hits[k] / ap.size for k in ks}
+    for start, sims in _gram_runs(batch.vectors):
+        rows = np.arange(start, start + len(sims))
+        sims[rows - start, rows] = -np.inf
+        for p in np.unique(num_pos[rows]):
+            at = rows[num_pos[rows] == p]
+            labels = layout[at, None] == layout
+            labels[np.arange(at.size), at] = False
+            first_hit, ap[at] = _ranked_ap(sims[at - start], labels)
+            for k in ks:
+                hits[k] += int(np.count_nonzero(first_hit < k))
+    return float(np.mean(ap)), {k: hits[k] / m for k in ks}
 
 
-def _query_blocks(vectors, class_ids, per_positive, allow_degenerate=False):
+def _gram_runs(vectors):
+    """Yields the rows of the Gram matrix of vectors as (start, rows): runs
+    of linalg's row chunks, each of at most _BLOCK_ELEMENTS scores or one
+    chunk, so that no more than one run is held. As the runs follow the
+    chunk grid, every score has the bits of product(vectors, vectors.T)."""
+    start, run = 0, []
+    for rows, chunk in row_products(vectors, vectors.T):
+        if run and (rows.start - start + len(chunk)) * len(vectors) > _BLOCK_ELEMENTS:
+            yield start, run[0] if len(run) == 1 else np.concatenate(run)
+            start, run = rows.start, []
+        run.append(chunk)
+    yield start, run[0] if len(run) == 1 else np.concatenate(run)
+
+
+def _query_blocks(vectors, class_ids, allow_degenerate=False):
     """The queries of a batch in blocks of rows that share a positive count.
 
     vectors are the (m, d) rows of a batch with the given class ids, and
@@ -249,23 +273,21 @@ def _query_blocks(vectors, class_ids, per_positive, allow_degenerate=False):
     labels, positives): the block's positions among the queries, the
     (rows, m - 1) flat index of each query's other columns in an (m, m)
     matrix, in index order, whether each of those columns is a positive,
-    and in a per-positive block the _positive_index of labels (else None).
-    A block holds at most max(1, _BLOCK_ELEMENTS // (p (m - 1))) rows of
-    positive count p when per_positive, for the kernels that form
-    (rows, p, m - 1) blocks, and _BLOCK_ELEMENTS // (m - 1) otherwise.
+    and the _positive_index of labels. A block holds at most
+    max(1, _BLOCK_ELEMENTS // (p (m - 1))) rows of positive count p, for
+    the kernels that form (rows, p, m - 1) blocks.
 
-    Per-positive blocks come from a cache, as the per-step kernels see one
-    layout again and again, when they hold at most _LAYOUT_CACHE_ELEMENTS
+    The blocks come from a cache, as the per-step kernels see one layout
+    again and again, when they hold at most _LAYOUT_CACHE_ELEMENTS
     indices: m - 1 for each query's scores and p (p + 2) for its
-    positives. Other blocks, such as the exact metrics' of a large
-    evaluated set, are built one at a time as they are read.
+    positives. Larger ones are built one at a time as they are read.
     """
     num_pos, layout = queries_with_positives(class_ids, allow_degenerate)
     p = num_pos[num_pos > 0]
-    if per_positive and np.sum(layout.size - 1 + p * (p + 2)) <= _LAYOUT_CACHE_ELEMENTS:
+    if np.sum(layout.size - 1 + p * (p + 2)) <= _LAYOUT_CACHE_ELEMENTS:
         blocks = _cached_blocks(layout.tobytes())
     else:
-        blocks = _layout_blocks(layout, per_positive)
+        blocks = _layout_blocks(layout)
     return product(vectors, vectors.T), np.count_nonzero(num_pos), blocks
 
 
@@ -273,14 +295,14 @@ def _query_blocks(vectors, class_ids, per_positive, allow_degenerate=False):
 def _cached_blocks(layout):
     """The per-positive blocks of a layout given as bytes, built once, with
     read-only arrays."""
-    blocks = tuple(_layout_blocks(np.frombuffer(layout, dtype=np.intp), per_positive=True))
+    blocks = tuple(_layout_blocks(np.frombuffer(layout, dtype=np.intp)))
     for block in blocks:
         for array in block[:3] + block[3]:
             array.flags.writeable = False
     return blocks
 
 
-def _layout_blocks(layout, per_positive):
+def _layout_blocks(layout):
     """Yields _query_blocks' blocks of a layout."""
     m = layout.size
     num_pos = np.bincount(layout, minlength=m)[layout] - 1
@@ -289,13 +311,13 @@ def _layout_blocks(layout, per_positive):
     cols = np.arange(m - 1)
     for p in np.unique(num_pos):
         group = np.flatnonzero(num_pos == p)
-        step = max(1, _BLOCK_ELEMENTS // (int(p) * (m - 1) if per_positive else m - 1))
+        step = max(1, _BLOCK_ELEMENTS // (int(p) * (m - 1)))
         for start in range(0, group.size, step):
             at = group[start : start + step]
             q = queries[at][:, None]
             others = cols + (cols >= q)  # all but the query's own column
             labels = layout[others] == layout[q]
-            yield at, q * m + others, labels, _positive_index(labels) if per_positive else None
+            yield at, q * m + others, labels, _positive_index(labels)
 
 
 def _positive_index(labels):

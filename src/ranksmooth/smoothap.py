@@ -172,8 +172,7 @@ def smooth_ap_loss(batch, cfg, allow_degenerate=False):
     leaves it out silently.
     """
     unit, norms = normalize_rows(batch.vectors)
-    sims, queries, blocks = _query_blocks(unit, batch.class_ids, per_positive=True,
-                                         allow_degenerate=allow_degenerate)
+    sims, queries, blocks = _query_blocks(unit, batch.class_ids, allow_degenerate)
     ap = np.empty(queries)
     score_grad = np.zeros(sims.shape)
     for at, flat, _, positives in blocks:
@@ -208,7 +207,7 @@ def ap_approx_error(scored, cfg):
 def batch_ap_error(batch, cfg):
     """Mean per-query AP approximation error over a batch (self excluded),
     a block of query rows that share a positive count at a time."""
-    sims, queries, blocks = _query_blocks(batch.vectors, batch.class_ids, per_positive=True)
+    sims, queries, blocks = _query_blocks(batch.vectors, batch.class_ids)
     errors = np.empty(queries)
     for at, flat, labels, positives in blocks:
         scores = sims.take(flat)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ranksmooth.data import (
+    Dataset,
     DuplicateIdError,
     FieldFormatError,
     RaggedRowError,
@@ -152,6 +155,66 @@ class TestCsvRoundTrip:
         path.write_text("0,1,0.5\n1,2,0.6\n")
         with pytest.raises(ValueError, match="no class has at least 2 instances"):
             load_features_csv(path)
+
+    def test_only_blank_lines_rejected_at_line_one(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n  \n\n")
+        with pytest.raises(CsvFormatError) as info:
+            load_features_csv(path)
+        assert type(info.value) is CsvFormatError
+        assert (info.value.line, info.value.message) == (1, "file contains no data rows")
+
+    @pytest.mark.parametrize("last, error, message", [
+        ("500,1,0.5,0.25", RaggedRowError, "expected 5 fields, found 4"),
+        ("3,1,0.5,0.25,0.5", DuplicateIdError, "duplicate id '3' (first seen on line 4)"),
+        ("500,1.5,0.5,0.25,0.5", FieldFormatError, "class_id '1.5' is not an integer"),
+        ("500,1,0.5,oops,0.5", FieldFormatError, "feature fields must be numeric"),
+        ("500,1,0.5,nan,0.5", FieldFormatError, "feature fields must be finite"),
+        ("500,1,0.5,0.25,-inf", FieldFormatError, "feature fields must be finite"),
+    ], ids=["ragged", "duplicate-id", "class-id", "non-numeric", "nan", "inf"])
+    def test_error_on_the_last_of_many_lines(self, tmp_path, last, error, message):
+        """The fault is on line 572, after 500 good rows with a blank line
+        after every seventh: the check fires mid-stream with the same type,
+        message and line as on a short file."""
+        lines = []
+        for i in range(500):
+            lines.append(f"{i},{i % 50},{i * 0.5},{-i / 3},{i * 1e-3}")
+            if i % 7 == 6:
+                lines.append("")
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines + [last]) + "\n")
+        with pytest.raises(CsvFormatError) as info:
+            load_features_csv(path)
+        assert type(info.value) is error
+        assert (info.value.line, info.value.message) == (len(lines) + 1, message)
+        assert str(info.value) == f"line {len(lines) + 1}: {message}"
+
+    def test_save_writes_each_float_as_its_repr(self, tmp_path):
+        ds = Dataset(features=[[-0.0, 5e-324, 1e300], [-1.5, 0.1, -2.5e-300], [1.0, -3.0, 7.25]],
+                     class_ids=[3, 3, -9])
+        path = tmp_path / "ds.csv"
+        save_features_csv(path, ds)
+        want = "".join(
+            f"{i},{int(ds.class_ids[i])},{','.join(repr(float(v)) for v in ds.features[i])}\n"
+            for i in range(len(ds))
+        )
+        assert path.read_bytes() == want.encode()
+        assert path.read_text().splitlines()[0] == "0,3,-0.0,5e-324,1e+300"
+
+    def test_load_peaks_under_three_feature_arrays(self, tmp_path):
+        """A 5000 x 64 file (2.4 MiB of features). Parsed into Python floats
+        first, the load peaked at 7.5 times the array; parsed straight into
+        it, at 2.3 times, the Dataset's own copy included."""
+        path = tmp_path / "ds.csv"
+        save_features_csv(path, gen_synthetic_clusters(250, 20, 64, 0.13, seed=1))
+        tracemalloc.start()
+        try:
+            loaded = load_features_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.features.shape == (5000, 64)
+        assert peak < 3 * loaded.features.nbytes
 
 
 class TestSplitByClass:

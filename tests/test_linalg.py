@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ranksmooth import linalg
@@ -60,3 +61,13 @@ def test_loss_keeps_blas_workers_asleep():
     the m = 256 loss with unchunked products used 1.45-2.0 s of process CPU
     per wall second on 2 cores; on one thread it uses at most 1."""
     assert float(run_with_threads("2", LOSS_CPU_PER_WALL)) <= 1.2
+
+
+def test_product_assembles_its_row_chunks():
+    """At 1000 x 16 against its transpose a chunk holds 262144 // 16000 = 16
+    rows; the chunks cover the rows in order and hold the product's bits."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((1000, 16))
+    chunks = list(linalg.row_products(a, a.T))
+    assert [(rows.start, len(chunk)) for rows, chunk in chunks] == [(s, 16) for s in range(0, 992, 16)] + [(992, 8)]
+    assert np.concatenate([chunk for _, chunk in chunks]).tobytes() == linalg.product(a, a.T).tobytes()

@@ -27,13 +27,15 @@ from helpers import (
 from ranksmooth.baselines import TripletConfig, contrastive_loss, triplet_loss
 from ranksmooth.data import Dataset, SamplerConfig, SamplerState, next_batch
 from ranksmooth.encoder import EncoderParams, encode
+from ranksmooth.linalg import product, row_products
 from ranksmooth.ranking import (
     EmbeddingBatch,
     ScoredSet,
-    _query_blocks,
+    _gram_runs,
     exact_ap,
     map_and_recall,
     mean_ap,
+    queries_with_positives,
     recall_at_k,
 )
 from ranksmooth.smoothap import (
@@ -316,15 +318,39 @@ def test_many_block_batches_equal_per_query_loops(seed):
 
 
 def test_exact_metrics_on_one_count_over_several_row_blocks():
-    """300 rows of 30 classes of 10: every query has 9 positives, and at
-    _BLOCK_ELEMENTS // 299 = 109 rows per block that one count spans three
-    blocks of the exact metrics. The rows are continuous: at this size the
-    BLAS does not score duplicate rows bit-equally (its edge tiles round
-    otherwise), so a tie would test the Gram product, not the blocks."""
+    """300 rows of 30 classes of 10: every query has 9 positives. At d = 3
+    linalg's row chunks hold 262144 // 900 = 291 rows, more than a block
+    budget's worth, so each chunk is a run, and a block, of its own: the
+    one count spans two blocks of 291 and 9 rows. The rows are continuous:
+    at this size the BLAS does not score duplicate rows bit-equally (its
+    edge tiles round otherwise), so a tie would test the Gram product, not
+    the blocks."""
     rng = np.random.default_rng(0)
     class_ids = rng.permutation(np.repeat(np.arange(30), 10))
     batch = EmbeddingBatch.from_raw(rng.normal(size=(class_ids.size, 3)), class_ids)
-    blocks = _query_blocks(batch.vectors, batch.class_ids, per_positive=False)[2]
-    assert [len(at) for at, _, _, _ in blocks] == [109, 109, 82]
+    assert [(start, len(sims)) for start, sims in _gram_runs(batch.vectors)] == [(0, 291), (291, 9)]
+    ks = (1, 5, 50)
+    assert map_and_recall(batch, ks) == per_query_map_and_recall(batch, ks)
+
+
+def test_exact_metrics_on_runs_that_cut_classes_and_counts():
+    """The first 1000 rows of a shuffled set of uneven classes of 2-40, of
+    64 dimensions, less the one row left alone in its class: the Gram
+    arrives in 4-row chunks, read in runs of 8 chunks (32 rows), so every
+    run holds parts of many classes and several positive counts. The runs
+    reproduce the whole Gram bit for bit, and the metrics equal the
+    per-query oracle."""
+    rng = np.random.default_rng(0)
+    sizes = rng.integers(2, 41, size=60)
+    class_ids = rng.permutation(np.repeat(np.arange(sizes.size), sizes))[:1000]
+    class_ids = class_ids[np.bincount(class_ids)[class_ids] > 1]
+    batch = EmbeddingBatch.from_raw(rng.normal(size=(class_ids.size, 64)), class_ids)
+    assert len(next(row_products(batch.vectors, batch.vectors.T))[1]) == 4
+    runs = list(_gram_runs(batch.vectors))
+    assert [len(sims) for _, sims in runs[:-1]] == [32] * (len(runs) - 1)
+    num_pos = queries_with_positives(batch.class_ids)[0]
+    assert min(np.unique(num_pos[start : start + 32]).size for start, _ in runs[:-1]) >= 3
+    gram = np.concatenate([sims for _, sims in runs])
+    assert gram.tobytes() == product(batch.vectors, batch.vectors.T).tobytes()
     ks = (1, 5, 50)
     assert map_and_recall(batch, ks) == per_query_map_and_recall(batch, ks)
