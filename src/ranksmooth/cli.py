@@ -6,11 +6,12 @@ seed, git describe, environment, timestamps) before any compute starts:
 -o/manifest.json, or <csv>.manifest.json beside gen-data's file. Its
 config is keyed by the library's parameter names, plus the seed and the
 --data, --checkpoint, --param and --values given. The run's end adds its
-status ("ok" or "failed", as for a grad check that fails), the error and
-the files written. An error in the flags, the config file, the seed or
-the input paths comes before the run and leaves no manifest. CSV
-outputs are deterministic given identical flags and seed; wall-clock
-timings go to a separate timings.csv sidecar.
+status ("ok" or "failed", as for a grad check that fails), the error, the
+files written and the resources used by the process and its reaped
+children. An error in the flags, the config file, the seed or the input
+paths comes before the run and leaves no manifest. CSV outputs are
+deterministic given identical flags and seed; wall-clock timings go to a
+separate timings.csv sidecar.
 
 Each subcommand takes its options and their defaults from the library
 object it calls: gen-data from SyntheticSpec, train and ablate from
@@ -32,6 +33,8 @@ or input errors.
 import argparse
 import json
 import os
+import platform
+import resource
 import subprocess
 import sys
 import time
@@ -218,8 +221,8 @@ def _git_describe():
 
 
 def _environment():
-    """Python, NumPy and BLAS versions, usable cores, and the environment
-    variables that set BLAS threads (None when unset)."""
+    """Python, NumPy, BLAS and C library versions, usable cores, and the
+    environment variables that set BLAS threads (None when unset)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # older NumPy has no "dicts" mode
@@ -230,9 +233,21 @@ def _environment():
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
+        "libc": " ".join(platform.libc_ver()).strip() or None,
         "cores": _usable_cores(),
         **{var: os.environ.get(var) for var in threads},
     }
+
+
+def _resources():
+    """CPU seconds, peak RSS (MiB, from Linux's KiB) and minor page faults
+    so far, of this process ("self") and of its reaped children."""
+    out = {}
+    for who, scope in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN)):
+        use = resource.getrusage(scope)
+        out[who] = {"cpu_s": use.ru_utime + use.ru_stime, "peak_rss_mb": use.ru_maxrss / 1024.0,
+                    "minor_faults": use.ru_minflt}
+    return out
 
 
 def _chart(args, save, name, xs, series, title, xlabel, ylabel):
@@ -245,12 +260,13 @@ def _chart(args, save, name, xs, series, title, xlabel, ylabel):
 def _manifest(path, command, config, seed):
     """Write the manifest, yield save(write_file, out, *args), which writes
     one output file with write_file(out, *args) and lists it, and on
-    leaving rewrite the manifest with finished_at, the files written and
-    the status: "ok", or "failed" with the error message."""
+    leaving rewrite the manifest with finished_at, the files written, the
+    resources used and the status: "ok", or "failed" with the error
+    message."""
     stamp = partial(time.strftime, "%Y-%m-%dT%H:%M:%S%z")
     body = dict(command=command, config=config, seed=seed, git_describe=_git_describe(),
                 environment=_environment(), started_at=stamp(), finished_at=None,
-                status="running", error=None, outputs=[])
+                status="running", error=None, outputs=[], resources=None)
 
     def write():
         path.write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8", newline="\n")
@@ -267,7 +283,7 @@ def _manifest(path, command, config, seed):
         body.update(status="failed", error=str(exc) or type(exc).__name__)
         raise
     finally:
-        body["finished_at"] = stamp()
+        body.update(finished_at=stamp(), resources=_resources())
         write()
 
 

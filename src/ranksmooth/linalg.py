@@ -18,6 +18,9 @@ _NORM_FLOOR = 1e-12
 # OpenBLAS runs a GEMM of at most this many multiply-adds (m * n * k) on the
 # calling thread: SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD.
 _SERIAL_MULTIPLY_ADDS = 65536 * 4
+# glibc raises its mmap threshold to a freed mmapped chunk's size and its trim
+# threshold to twice that, so scratch below 16 MiB then keeps its heap pages.
+np.empty(2 << 20)
 
 
 def row_products(a, b, out=None):

@@ -293,16 +293,10 @@ def loss_timing(batch_sizes, *, repeats=7):
     transient system stall lands on every size of that repeat rather than
     skewing one of them.
 
-    The timings must not depend on what ran before in the process. glibc
-    serves an array above its mmap threshold from fresh pages, which
-    fault on first touch in every call, and it raises that threshold to
-    the size of a larger mmapped block when one is freed (up to 32 MiB).
-    An earlier in-process training run frees such blocks; a fresh process
-    has not, and there the larger size's ratio to the smaller one came out
-    lower, down to the complexity criterion's floor. One 16 MiB block is
-    therefore allocated and freed first.
+    The timings do not depend on what ran before in the process: the
+    loss's scratch arrays come from heap pages kept across calls, since
+    ranksmooth.linalg raises glibc's mmap threshold at import.
     """
-    np.empty(2 << 20)  # 16 MiB, freed at once
     cfg, per_class = SmoothApConfig(), 4
     rng = np.random.default_rng(0)
     batches = {}

@@ -1,6 +1,8 @@
 import inspect
 import json
 import os
+import platform
+import resource
 import signal
 import subprocess
 import sys
@@ -231,10 +233,30 @@ class TestTrain:
         assert env["python"] == ".".join(map(str, sys.version_info[:3]))
         assert env["numpy"] == np.__version__
         assert isinstance(env["blas"], str) and isinstance(env["blas_version"], str)
+        if platform.libc_ver()[0] == "glibc":
+            assert env["libc"] == os.confstr("CS_GNU_LIBC_VERSION")  # e.g. "glibc 2.36"
+        else:
+            assert "libc" in env
         assert env["cores"] == len(os.sched_getaffinity(0))
         assert env["OMP_NUM_THREADS"] == "3"
         assert env["MKL_NUM_THREADS"] is None
         assert "OPENBLAS_NUM_THREADS" in env
+
+    def test_manifest_records_resources(self, tmp_path, dataset_csv, monkeypatch):
+        """The run's batches are drawn in the sampler child on 2 cores, so
+        its reaped children's CPU time grows during the run; git describe,
+        the run's other child, is stubbed out."""
+        monkeypatch.setattr(cli, "_git_describe", lambda: "stub")
+        monkeypatch.setattr(experiments, "_usable_cores", lambda: 2)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        code, out = run_train(tmp_path, dataset_csv)
+        assert code == 0
+        used = json.loads((out / "manifest.json").read_text())["resources"]
+        for who in ("self", "children"):
+            assert set(used[who]) == {"cpu_s", "peak_rss_mb", "minor_faults"}
+            assert min(used[who].values()) >= 0
+        assert used["self"]["cpu_s"] > 0 and used["self"]["minor_faults"] > 0
+        assert used["children"]["cpu_s"] > before.ru_utime + before.ru_stime
 
     def test_git_describe_names_the_code_not_the_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(Path(__file__).parent)
