@@ -151,8 +151,8 @@ class SyntheticSpec:
             raise ValueError(f"need at least 2 instances per class, got {self.per_class}")
         if self.dim < 1:
             raise ValueError(f"feature dimension must be positive, got {self.dim}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:  # NaN fails too
+            raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
         if self.signal_dim is not None and not 1 <= self.signal_dim <= self.dim:
             raise ValueError(f"signal_dim must be in [1, {self.dim}], got {self.signal_dim}")
 

@@ -122,6 +122,8 @@ class TrainConfig:
                              f"one instance per class gives no query a positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not 0.0 < self.test_fraction < 1.0:  # NaN fails too
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.loss != "smooth-ap" and self.batch_size == self.per_class:
             raise ValueError(f"loss {self.loss} needs a negative for every query, but a batch "
                              f"of batch_size = per_class = {self.per_class} holds one class")
@@ -475,6 +477,9 @@ def grad_check(
     the encoder, w.r.t. the parameters. The relative error is the max
     absolute gap scaled by the larger gradient magnitude.
     """
+    for name, value in (("fd_step", fd_step), ("tolerance", tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     loss_output = partial(_loss_for, TrainConfig(loss=loss, tau=tau))
     rng = np.random.default_rng(seed)
     per_class = 4

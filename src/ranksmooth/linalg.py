@@ -23,31 +23,38 @@ _SERIAL_MULTIPLY_ADDS = 65536 * 4
 np.empty(2 << 20)
 
 
-def row_products(a, b, out=None):
-    """Yields (rows, a[rows] @ b) for the row slices of a, in order, whose
-    products stay at or below OpenBLAS's serial cutoff, each written into
-    out[rows] when out is given.
+def row_runs(a, b, elements=None):
+    """Yields (start, a[start:stop] @ b), fresh arrays, for consecutive runs
+    of whole chunks of a's rows on one grid from row 0: chunks whose
+    products stay at or below OpenBLAS's serial cutoff. A run holds at most
+    elements product entries but never less than one chunk (all rows when
+    elements is None).
 
     No product wakes the BLAS worker threads, which spin after each threaded
-    call, and the chunk bounds (and so the result bits) do not depend on
-    the thread count. The product of a row range off this grid, or of a
-    single row, can differ from these chunks in the last bits.
+    call, and the chunk bounds (and so the result bits) depend on neither
+    the thread count nor the run length. The product of a row range off
+    this grid, or of a single row, can differ in the last bits.
     """
     step = max(1, _SERIAL_MULTIPLY_ADDS // max(1, b.size))
-    for start in range(0, len(a), step):
-        rows = slice(start, start + step)
-        yield rows, np.matmul(a[rows], b, out=None if out is None else out[rows])
+    chunks = -(-len(a) // step) if elements is None else elements // (step * b.shape[1])
+    run = max(1, chunks) * step
+    for start in range(0, len(a), run):
+        rows = a[start : start + run]
+        if len(rows) <= step:  # one chunk: one call
+            yield start, rows @ b
+            continue
+        out = np.empty((len(rows), b.shape[1]), dtype=np.result_type(a, b))
+        for lo in range(0, len(rows), step):
+            np.matmul(rows[lo : lo + step], b, out=out[lo : lo + step])
+        yield start, out
 
 
 def product(a, b):
-    """a @ b for 2-D a and b, assembled from row_products' chunks; a product
-    within OpenBLAS's serial cutoff is one call."""
+    """a @ b for 2-D a and b, as row_runs builds it; a product within
+    OpenBLAS's serial cutoff is one call."""
     if len(a) * b.size <= _SERIAL_MULTIPLY_ADDS:
         return a @ b
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for _ in row_products(a, b, out):
-        pass
-    return out
+    return next(row_runs(a, b))[1]
 
 
 def normalize_rows(x):

@@ -13,8 +13,8 @@ one query at a time. The losses and the AP-error diagnostic read their
 blocks from _query_blocks, with the whole Gram matrix, as read-only index
 arrays that depend only on the batch's layout; a training run's batches
 share one layout, so these per-step kernels build theirs once. The exact
-metrics read the Gram in linalg's row chunks instead (_gram_runs), so that
-an evaluated set of N rows holds O(N * chunk) scores rather than N^2.
+metrics read the Gram in linalg.row_runs' runs of rows instead, so that an
+evaluated set of N rows holds one run of scores at a time, not N^2.
 """
 
 import functools
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import normalize_rows, product, row_products
+from .linalg import normalize_rows, product, row_runs
 
 __all__ = [
     "ScoredSet",
@@ -225,10 +225,10 @@ def map_and_recall(batch, ks):
 
 def _exact_metrics(batch, ks):
     """Mean AP and {k: Recall@k} over the batch's queries, ranked as
-    _gram_runs delivers their rows: a run's rows, grouped by positive count,
-    each with its own score at -inf so that it ranks below every other row,
-    which leaves every other rank as it is. APs are averaged in query
-    order."""
+    linalg.row_runs delivers their rows, in runs of at most _BLOCK_ELEMENTS
+    scores: a run's rows, grouped by positive count, each with its own
+    score at -inf so that it ranks below every other row, which leaves
+    every other rank as it is. APs are averaged in query order."""
     m = len(batch)
     ks = [int(k) for k in ks]
     for k in ks:
@@ -237,7 +237,7 @@ def _exact_metrics(batch, ks):
     num_pos, layout = queries_with_positives(batch.class_ids)
     ap = np.empty(m)
     hits = dict.fromkeys(ks, 0)
-    for start, sims in _gram_runs(batch.vectors):
+    for start, sims in row_runs(batch.vectors, batch.vectors.T, _BLOCK_ELEMENTS):
         rows = np.arange(start, start + len(sims))
         sims[rows - start, rows] = -np.inf
         for p in np.unique(num_pos[rows]):
@@ -248,20 +248,6 @@ def _exact_metrics(batch, ks):
             for k in ks:
                 hits[k] += int(np.count_nonzero(first_hit < k))
     return float(np.mean(ap)), {k: hits[k] / m for k in ks}
-
-
-def _gram_runs(vectors):
-    """Yields the rows of the Gram matrix of vectors as (start, rows): runs
-    of linalg's row chunks, each of at most _BLOCK_ELEMENTS scores or one
-    chunk, so that no more than one run is held. As the runs follow the
-    chunk grid, every score has the bits of product(vectors, vectors.T)."""
-    start, run = 0, []
-    for rows, chunk in row_products(vectors, vectors.T):
-        if run and (rows.start - start + len(chunk)) * len(vectors) > _BLOCK_ELEMENTS:
-            yield start, run[0] if len(run) == 1 else np.concatenate(run)
-            start, run = rows.start, []
-        run.append(chunk)
-    yield start, run[0] if len(run) == 1 else np.concatenate(run)
 
 
 def _query_blocks(vectors, class_ids, allow_degenerate=False):

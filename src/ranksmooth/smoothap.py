@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import normalize_rows, product, similarity_backward
+from .linalg import normalize_rows, row_runs, similarity_backward
 from .ranking import (
     _BLOCK_ELEMENTS,
     DegenerateLabelsError,
@@ -225,20 +225,19 @@ def batch_operating_region(batch, cfg):
 
     Uses the equivalence |dG/dD| > threshold  <=>  |D| < halfwidth (the
     sigmoid derivative is strictly decreasing in |D|), counting close
-    pairs on sorted scores instead of materializing every m x m matrix.
+    pairs on sorted runs of rows (linalg.row_runs), never an m x m matrix.
     """
     halfwidth = operating_region_halfwidth(cfg)
     if halfwidth == 0.0:
         return 0.0
-    sims = product(batch.vectors, batch.vectors.T)
     m = len(batch)
     close = np.empty(m, dtype=np.int64)
-    step = max(1, _BLOCK_ELEMENTS // (2 * m))
-    for start in range(0, m, step):
-        rows = np.sort(sims[start : start + step], axis=1)
+    # Half a block budget per run: _count_below merges rows 2m wide.
+    for start, rows in row_runs(batch.vectors, batch.vectors.T, _BLOCK_ELEMENTS // 2):
+        rows.sort(axis=1)
         # Per row, the pairs (i, j) with row_j < row_i + halfwidth minus
         # those with row_j <= row_i - halfwidth.
-        close[start : start + step] = (
+        close[start : start + len(rows)] = (
             _count_below(rows, rows + halfwidth, before_ties=True)
             - _count_below(rows, rows - halfwidth, before_ties=False)
         )

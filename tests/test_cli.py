@@ -702,6 +702,27 @@ class TestFlagsFollowLibrary:
             assert got == param.default, param.name
 
 
+    # Every float option of every subcommand, with the library parameter
+    # that checks it: a tuple option's values are checked one at a time.
+    FLOAT_OPTIONS = [
+        (command, name, name[:-1] if kind is tuple else name)
+        for command, (_, table, _) in cli.COMMANDS.items()
+        for name, (default, kind) in table.items()
+        if kind is float or kind is tuple and isinstance(default[0], float)
+    ]
+
+    @pytest.mark.parametrize("command, name, parameter", FLOAT_OPTIONS)
+    def test_nan_float_option_is_usage_error(self, tmp_path, dataset_csv, capsys, command, name,
+                                             parameter):
+        argv = [command, "--" + cli._key(name).replace("_", "-"), "nan", "-o", str(tmp_path / "o")]
+        if command not in ("gen-data", "grad-check"):
+            argv += ["--data", str(dataset_csv)]
+        if command == "ablate":
+            argv += ["--param", "steps", "--values", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {parameter}")
+
+
 class TestManifestConfig:
     """Every subcommand's manifest config is keyed by the library's
     parameter names, plus the seed and the path flags the run was given."""

@@ -77,6 +77,13 @@ class TestGenSyntheticClusters:
         with pytest.raises(ValueError, match=message):
             gen_synthetic_clusters(3, 4, 12, 0.1, seed=0, signal_dim=16)
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        # It would draw a dataset of non-finite features, which the loader
+        # then rejects at line 1 of the file.
+        with pytest.raises(ValueError, match=f"^noise_sigma must be finite and nonnegative, got {noise}$"):
+            SyntheticSpec(noise_sigma=noise)
+
     def test_immutable(self):
         ds = gen_synthetic_clusters(3, 3, 4, 0.1, seed=5)
         with pytest.raises(ValueError):

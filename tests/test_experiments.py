@@ -86,6 +86,7 @@ class TestTrainConfig:
             (dict(lr=np.nan), "^lr must be finite, got nan$"),
             (dict(lr=np.inf), "^lr must be finite, got inf$"),
             (dict(weight_decay=np.inf), "^weight_decay must be finite, got inf$"),
+            (dict(test_fraction=np.nan), r"^test_fraction must be in \(0, 1\), got nan$"),
             (dict(loss="triplet", triplet_margin=np.nan),
              "^triplet_margin: margin must be finite, got nan$"),
             (dict(loss="contrastive", contrastive_margin=np.inf),
@@ -234,6 +235,13 @@ class TestAblate:
             ablate(tiny_config(loss="contrastive"), "contrastive_margin", [0.5, -1.0])
         assert calls == []
 
+    def test_bad_test_fraction_rejected_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "train", lambda cfg: calls.append(cfg))
+        with pytest.raises(ValueError, match=r"^test_fraction must be in \(0, 1\), got 1.5$"):
+            ablate(tiny_config(), "test_fraction", [0.5, 1.5])
+        assert calls == []
+
     def test_one_class_pair_loss_batch_rejected_before_any_run(self, monkeypatch):
         calls = []
         monkeypatch.setattr(experiments, "train", lambda cfg: calls.append(cfg))
@@ -251,6 +259,14 @@ class TestGradCheck:
     def test_failing_tolerance_reported(self):
         report = grad_check(loss="smooth-ap", m=8, d=4, tau=1.0, tolerance=1e-30, seed=0)
         assert not report.passed
+
+    @pytest.mark.parametrize("name", ["fd_step", "tolerance"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_step_or_tolerance_rejected(self, name, value):
+        # A zero step divides by zero, a NaN one fails as a non-finite norm,
+        # and no error can pass a NaN or nonpositive tolerance.
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value}$"):
+            grad_check(m=8, d=4, **{name: value})
 
     def test_batch_size_must_fit_classes(self):
         with pytest.raises(ValueError, match="multiple"):

@@ -91,9 +91,17 @@ def test_loss_keeps_its_scratch_pages_across_calls():
 
 def test_product_assembles_its_row_chunks():
     """At 1000 x 16 against its transpose a chunk holds 262144 // 16000 = 16
-    rows; the chunks cover the rows in order and hold the product's bits."""
+    rows. row_runs covers the rows in order in runs of whole chunks: one
+    chunk each under a budget below a chunk, three under one of 50000
+    entries, all rows without a budget. Every run holds the bits of the
+    chunks taken one product call each."""
     rng = np.random.default_rng(0)
     a = rng.standard_normal((1000, 16))
-    chunks = list(linalg.row_products(a, a.T))
-    assert [(rows.start, len(chunk)) for rows, chunk in chunks] == [(s, 16) for s in range(0, 992, 16)] + [(992, 8)]
-    assert np.concatenate([chunk for _, chunk in chunks]).tobytes() == linalg.product(a, a.T).tobytes()
+    chunks = np.concatenate([a[s : s + 16] @ a.T for s in range(0, 1000, 16)])
+    for elements, runs in ((1, [(s, 16) for s in range(0, 992, 16)] + [(992, 8)]),
+                           (50000, [(s, 48) for s in range(0, 960, 48)] + [(960, 40)]),
+                           (None, [(0, 1000)])):
+        found = list(linalg.row_runs(a, a.T, elements))
+        assert [(start, len(run)) for start, run in found] == runs
+        assert np.concatenate([run for _, run in found]).tobytes() == chunks.tobytes()
+    assert linalg.product(a, a.T).tobytes() == chunks.tobytes()

@@ -27,11 +27,11 @@ from helpers import (
 from ranksmooth.baselines import TripletConfig, contrastive_loss, triplet_loss
 from ranksmooth.data import Dataset, SamplerConfig, SamplerState, next_batch
 from ranksmooth.encoder import EncoderParams, encode
-from ranksmooth.linalg import product, row_products
+from ranksmooth.linalg import product, row_runs
 from ranksmooth.ranking import (
+    _BLOCK_ELEMENTS,
     EmbeddingBatch,
     ScoredSet,
-    _gram_runs,
     exact_ap,
     map_and_recall,
     mean_ap,
@@ -328,7 +328,8 @@ def test_exact_metrics_on_one_count_over_several_row_blocks():
     rng = np.random.default_rng(0)
     class_ids = rng.permutation(np.repeat(np.arange(30), 10))
     batch = EmbeddingBatch.from_raw(rng.normal(size=(class_ids.size, 3)), class_ids)
-    assert [(start, len(sims)) for start, sims in _gram_runs(batch.vectors)] == [(0, 291), (291, 9)]
+    runs = row_runs(batch.vectors, batch.vectors.T, _BLOCK_ELEMENTS)
+    assert [(start, len(sims)) for start, sims in runs] == [(0, 291), (291, 9)]
     ks = (1, 5, 50)
     assert map_and_recall(batch, ks) == per_query_map_and_recall(batch, ks)
 
@@ -345,8 +346,8 @@ def test_exact_metrics_on_runs_that_cut_classes_and_counts():
     class_ids = rng.permutation(np.repeat(np.arange(sizes.size), sizes))[:1000]
     class_ids = class_ids[np.bincount(class_ids)[class_ids] > 1]
     batch = EmbeddingBatch.from_raw(rng.normal(size=(class_ids.size, 64)), class_ids)
-    assert len(next(row_products(batch.vectors, batch.vectors.T))[1]) == 4
-    runs = list(_gram_runs(batch.vectors))
+    assert len(next(row_runs(batch.vectors, batch.vectors.T, 1))[1]) == 4
+    runs = list(row_runs(batch.vectors, batch.vectors.T, _BLOCK_ELEMENTS))
     assert [len(sims) for _, sims in runs[:-1]] == [32] * (len(runs) - 1)
     num_pos = queries_with_positives(batch.class_ids)[0]
     assert min(np.unique(num_pos[start : start + 32]).size for start, _ in runs[:-1]) >= 3
@@ -354,3 +355,16 @@ def test_exact_metrics_on_runs_that_cut_classes_and_counts():
     assert gram.tobytes() == product(batch.vectors, batch.vectors.T).tobytes()
     ks = (1, 5, 50)
     assert map_and_recall(batch, ks) == per_query_map_and_recall(batch, ks)
+
+
+def test_operating_region_over_many_row_runs():
+    """600 continuous rows at d = 16: linalg's row chunks hold
+    262144 // 9600 = 27 rows, and half a block budget holds one chunk, so
+    the region is counted over 23 runs; it equals the per-query loop."""
+    rng = np.random.default_rng(0)
+    class_ids = rng.permutation(np.repeat(np.arange(60), 10))
+    batch = EmbeddingBatch.from_raw(rng.normal(size=(class_ids.size, 16)), class_ids)
+    assert len(list(row_runs(batch.vectors, batch.vectors.T, _BLOCK_ELEMENTS // 2))) == 23
+    for cfg in (SmoothApConfig(), SmoothApConfig(0.1)):
+        halfwidth = operating_region_halfwidth(cfg)
+        assert batch_operating_region(batch, cfg) == per_query_operating_region(batch, halfwidth)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from helpers import (
     gapped_scores,
     max_rel_error,
     random_batch,
+    unit_rows,
 )
 from ranksmooth.ranking import (
     DegenerateLabelsError,
@@ -294,6 +296,21 @@ class TestOperatingRegion:
         cfg = SmoothApConfig(0.01)
         expected = dense_operating_region(batch, cfg)
         assert batch_operating_region(batch, cfg) == pytest.approx(expected, abs=1e-12)
+
+    def test_holds_runs_of_the_gram_not_the_whole(self):
+        """N = 2000, d = 16: the whole Gram takes 30.5 MiB, and the region
+        peaked at 31.3 MiB when it formed it. Read in linalg's row runs of
+        half a block budget it peaks below 1 MiB: the run, its merged rows
+        and their sort order, each bounded by the budget, not by N."""
+        rng = np.random.default_rng(0)
+        batch = EmbeddingBatch(unit_rows(rng, 2000, 16), np.repeat(np.arange(100), 20))
+        tracemalloc.start()
+        try:
+            batch_operating_region(batch, SmoothApConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestConfigValidation:
