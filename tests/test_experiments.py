@@ -86,11 +86,11 @@ class TestTrainConfig:
             (dict(lr=np.nan), "^lr must be finite, got nan$"),
             (dict(lr=np.inf), "^lr must be finite, got inf$"),
             (dict(weight_decay=np.inf), "^weight_decay must be finite, got inf$"),
-            (dict(test_fraction=np.nan), r"^test_fraction must be in \(0, 1\), got nan$"),
             (dict(loss="triplet", triplet_margin=np.nan),
              "^triplet_margin: margin must be finite, got nan$"),
             (dict(loss="contrastive", contrastive_margin=np.inf),
              "^contrastive_margin: margin must be finite, got inf$"),
+            (dict(test_fraction=np.nan), r"^test_fraction must be in \(0, 1\), got nan$"),
         ],
     )
     def test_sub_config_checks_run_at_construction(self, overrides, match):
